@@ -7,6 +7,8 @@
 #   * test-no-numpy  tier-1 with numpy blocked via scripts/block_numpy.py
 #                    (emulates the CI venv that never installs numpy)
 #   * perf-smoke  pytest -m perf_smoke + the quickstart trace artifact
+#   * figure-shapes  benchmarks/ shape assertions (quick subset, no
+#                    benchmarks/perf) + the perfbench self-tests
 #
 # Run from the repository root:  bash scripts/ci_local.sh
 set -u
@@ -62,6 +64,11 @@ TRACE_OUT="$(mktemp -d)/trace.jsonl"
 python3 -m repro trace examples/quickstart.loop --out "$TRACE_OUT" >/dev/null \
     && python3 -m repro.obs.report "$TRACE_OUT" >/dev/null \
     || fail "quickstart trace"
+
+# -- figure shapes + perfbench self-tests ----------------------------------
+note "figure shapes (quick subset) + perfbench self-tests"
+python3 -m pytest benchmarks --ignore=benchmarks/perf -q || fail "figure shapes"
+python3 -m pytest perfbench/tests -q || fail "perfbench self-tests"
 
 # -- summary ---------------------------------------------------------------
 printf '\n== ci_local summary ==\n'

@@ -19,6 +19,7 @@ from repro.experiments.harness import (
     mapping_for,
     run_custom,
     run_scheme,
+    scheme_knobs,
     sim_machine,
 )
 from repro.mapping.distribute import ExecutablePlan
@@ -31,7 +32,7 @@ from repro.workloads import paper_workloads
 
 def _optimal_cycles(app, machine) -> int:
     def compute():
-        mapping = mapping_for(app, machine)
+        mapping = mapping_for(app, machine, scheme_knobs(app, "ta"))
         assignment = anneal_assignment(
             [g for groups in mapping.assignments for g in groups],
             machine,

@@ -111,22 +111,25 @@ def clear_cache() -> None:
     _CACHE.artifacts.clear()
 
 
-def _scheme_knobs(
+def scheme_knobs(
+    app: Workload,
     scheme: str | None,
-    block_size: int | None,
-    balance_threshold: float,
-    alpha: float,
-    beta: float,
+    block_size: int | None = None,
+    balance_threshold: float = BALANCE_THRESHOLD,
+    alpha: float = 0.5,
+    beta: float = 0.5,
 ) -> Knobs:
     """The canonical knob set a scheme run maps with.
 
-    Every harness key (memo, disk, recorded spec) derives its knob
-    component from this one constructor, so the harness cannot drift
-    from the service or the pipeline on what "the same configuration"
-    means.  ``ta+s`` is the only scheme that schedules locally.
+    Every harness key (memo, disk, recorded spec) and every harness
+    mapping derives its knobs from this one constructor, so the harness
+    cannot drift from the service or the pipeline on what "the same
+    configuration" means.  ``block_size=None`` resolves to the
+    workload's own block size; ``ta+s`` is the only scheme that
+    schedules locally.
     """
     return Knobs(
-        block_size=block_size,
+        block_size=block_size if block_size is not None else app.block_size(),
         balance_threshold=balance_threshold,
         alpha=alpha,
         beta=beta,
@@ -217,7 +220,8 @@ def spec_key(spec: RunSpec) -> tuple:
     """The memo key a spec's run would use (mirrors run_scheme/run_version)."""
     if spec.kind == "scheme":
         map_machine = spec.mapping_machine or spec.machine
-        knobs = _scheme_knobs(
+        knobs = scheme_knobs(
+            workload(spec.app),
             spec.scheme,
             spec.block_size,
             spec.balance_threshold,
@@ -344,29 +348,15 @@ def figure_trace(figure: str):
             yield
 
 
-def mapping_for(
-    app: Workload,
-    mapping_machine: Machine,
-    local_scheduling: bool = False,
-    block_size: int | None = None,
-    balance_threshold: float = BALANCE_THRESHOLD,
-    alpha: float = 0.5,
-    beta: float = 0.5,
-) -> MappingResult:
+def mapping_for(app: Workload, mapping_machine: Machine, knobs: Knobs) -> MappingResult:
     """Memoized TopologyAware mapping of one workload for one machine.
 
-    Sits on two tiers: the whole-:class:`MappingResult` memo keyed by the
-    canonical knob tuple, and under it the shared per-stage artifact
-    store — so even a memo miss (say, new α/β) replays tagging,
-    dependence analysis and distribution from cache.
+    ``knobs`` comes from :func:`scheme_knobs`.  Sits on two tiers: the
+    whole-:class:`MappingResult` memo keyed by the canonical knob tuple,
+    and under it the shared per-stage artifact store — so even a memo
+    miss (say, new α/β) replays tagging, dependence analysis and
+    distribution from cache.
     """
-    knobs = Knobs(
-        block_size=block_size if block_size is not None else app.block_size(),
-        balance_threshold=balance_threshold,
-        alpha=alpha,
-        beta=beta,
-        local_scheduling=local_scheduling,
-    )
     key = (app.name, mapping_machine.name, knobs.as_tuple())
     cached = _CACHE.mappings.get(key)
     if cached is not None:
@@ -404,7 +394,7 @@ def run_scheme(
     if isinstance(app, str):
         app = workload(app)
     map_machine = mapping_machine or machine
-    knobs = _scheme_knobs(scheme, block_size, balance_threshold, alpha, beta)
+    knobs = scheme_knobs(app, scheme, block_size, balance_threshold, alpha, beta)
     key = (
         app.name,
         scheme,
@@ -444,17 +434,10 @@ def run_scheme(
         elif scheme == "base+":
             plan = base_plus_plan(nest, map_machine)
         elif scheme == "local":
-            mapping = mapping_for(app, map_machine, block_size=block_size,
-                                  balance_threshold=balance_threshold)
+            mapping = mapping_for(app, map_machine, knobs)
             plan = local_plan(nest, map_machine, mapping.partition, alpha, beta)
-        elif scheme == "ta":
-            mapping = mapping_for(app, map_machine, False, block_size,
-                                  balance_threshold, alpha, beta)
-            plan = mapping.plan()
-        elif scheme == "ta+s":
-            mapping = mapping_for(app, map_machine, True, block_size,
-                                  balance_threshold, alpha, beta)
-            plan = mapping.plan()
+        elif scheme in ("ta", "ta+s"):
+            plan = mapping_for(app, map_machine, knobs).plan()
         else:
             raise ExperimentError(f"unknown scheme {scheme!r}; known: {SCHEMES}")
 
@@ -489,7 +472,7 @@ def run_version(
             RunSpec(kind="version", app=app.name, version=version, target=target),
         )
         return _placeholder_result(f"{app.name}/version", target)
-    mapping = mapping_for(app, version)
+    mapping = mapping_for(app, version, scheme_knobs(app, "ta"))
     plan = retarget_plan(mapping.plan(), target)
     result = execute_plan(plan, machine=target)
     _store(key, disk_key, result)

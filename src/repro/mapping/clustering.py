@@ -1,13 +1,13 @@
 """Hierarchical, cache-topology-driven clustering (Figure 6).
 
-The descent walks the cache hierarchy tree level by level, starting at the
+The descent walks the cache hierarchy tree node by node, starting at the
 root (last-level cache, or off-chip memory when several LLCs exist).  At
-each level every current cluster set is re-clustered into as many clusters
-as the tree node has children, merging greedily by the tag dot product —
-the paper's qualitative affinity measure — splitting when too few clusters
-remain, and finally load balancing within the tunable threshold.  After
-the full descent the number of leaf clusters equals the core count, and
-left-to-right tree order gives the core assignment.
+each node with several children the node's groups are clustered into as
+many clusters as it has children, merging greedily by the tag dot product
+— the paper's qualitative affinity measure — splitting when too few
+clusters remain, and finally load balancing within the tunable threshold.
+After the full descent the number of leaf clusters equals the core count,
+and left-to-right tree order gives the core assignment.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def cluster_one_level(
     balancing.
 
     The merge is deliberately *flat* (straight to ``k`` clusters), exactly
-    as Figure 6 prescribes: a level of the cache tree with high fan-out is
+    as Figure 6 prescribes: a cache-tree node with high fan-out is
     clustered in one shot.  This is what makes the hierarchy depth matter
     (the paper's Figure 20): a deeper tree hands the algorithm a sequence
     of small-fan-out decisions instead of one noisy flat cut.
@@ -58,7 +58,7 @@ def cluster_weighted(
 ) -> list[Cluster]:
     """Cluster into ``len(weights)`` clusters sized proportionally to ``weights``.
 
-    Used by the tree descent when sibling subtrees own unequal core
+    Used by the descent when sibling subtrees own unequal core
     counts (a pruned tree after core loss, or an asymmetric hierarchy):
     the merge/split phase is shared with :func:`cluster_one_level`, then
     clusters are matched to weight slots largest-to-largest and
@@ -234,74 +234,22 @@ def hierarchical_distribute(
 ) -> list[list[IterationGroup]]:
     """Figure 6 end to end: groups -> per-core group lists.
 
-    Returns one list per core, indexed by core id (left-to-right order of
-    the cache tree leaves).  ``strategy`` selects the per-level
-    partitioner: ``"greedy"`` is the paper's dot-product merge; ``"kl"``
-    additionally refines every two-way cut with Kernighan-Lin swaps
-    (higher-fan-out levels always use the greedy merge).  ``backend``
-    is forwarded to :func:`cluster_one_level`; it never changes the
-    resulting distribution.
-    """
-    if not groups:
-        raise MappingError("no iteration groups to distribute")
-    if strategy not in ("greedy", "kl"):
-        raise MappingError(f"unknown clustering strategy {strategy!r}")
-    if not machine.is_level_uniform():
-        return tree_distribute(groups, machine, threshold, strategy, backend)
-    degrees = machine.clustering_degrees()
-    with obs.span(
-        "cluster.distribute",
-        machine=machine.name,
-        groups=len(groups),
-        strategy=strategy,
-        degrees=list(degrees),
-    ):
-        cluster_sets: list[list[IterationGroup]] = [list(groups)]
-        for level, degree in enumerate(degrees):
-            if degree == 1:
-                continue  # pass-through level (e.g. private caches)
-            with obs.span(
-                "cluster.level", level=level, degree=degree, sets=len(cluster_sets)
-            ):
-                obs.count("cluster.levels")
-                next_sets: list[list[IterationGroup]] = []
-                for current in cluster_sets:
-                    if strategy == "kl" and degree == 2 and len(current) >= 2:
-                        from repro.mapping.kl import cluster_one_level_kl
+    The descent walks the cache tree per *node*, from the root down: at
+    every node with several children, the node's groups are clustered
+    into one cluster per child and each cluster recurses into its child;
+    single-child nodes (private caches) pass their groups straight
+    through.  Clusters are sized equally when the children own equal
+    core counts (:func:`cluster_one_level`) and proportionally to
+    ``cores_below`` otherwise (:func:`cluster_weighted`), which covers
+    trees pruned by core loss and asymmetric hierarchies.  Leaves
+    collect in left-to-right order, i.e. the result has one list per
+    core, indexed by core id.
 
-                        clusters = cluster_one_level_kl(current, threshold)
-                    else:
-                        clusters = cluster_one_level(
-                            current, degree, threshold, backend=backend
-                        )
-                    next_sets.extend([list(c.groups) for c in clusters])
-                cluster_sets = next_sets
-        if len(cluster_sets) != machine.num_cores:
-            raise MappingError(
-                f"descent produced {len(cluster_sets)} clusters for "
-                f"{machine.num_cores} cores"
-            )
-        return cluster_sets
-
-
-def tree_distribute(
-    groups: Sequence[IterationGroup],
-    machine: Machine,
-    threshold: float = 0.10,
-    strategy: str = "greedy",
-    backend: str = "auto",
-) -> list[list[IterationGroup]]:
-    """Figure 6 generalized to non-level-uniform trees.
-
-    Core loss prunes the tree asymmetrically, so the flat per-level
-    descent of :func:`hierarchical_distribute` (which assumes one
-    branching degree per level) no longer applies.  This variant walks
-    the tree per *node*: at every node with several children, the
-    node's groups are clustered into one cluster per child — sized
-    equally when the children own equal core counts (the per-node
-    decision then coincides with the flat descent's), proportionally to
-    ``cores_below`` otherwise — and each cluster recurses into its
-    child.  Leaves collect in left-to-right order, i.e. core-id order.
+    ``strategy`` selects the partitioner at equal-weight nodes:
+    ``"greedy"`` is the paper's dot-product merge; ``"kl"`` additionally
+    refines every two-way cut with Kernighan-Lin swaps (higher fan-outs
+    always use the greedy merge).  ``backend`` is forwarded to the
+    clustering kernels; it never changes the resulting distribution.
     """
     if not groups:
         raise MappingError("no iteration groups to distribute")
@@ -331,7 +279,7 @@ def tree_distribute(
         return out
 
     with obs.span(
-        "cluster.distribute.tree",
+        "cluster.distribute",
         machine=machine.name,
         groups=len(groups),
         strategy=strategy,
@@ -339,7 +287,7 @@ def tree_distribute(
         cluster_sets = descend(machine.root, list(groups))
         if len(cluster_sets) != machine.num_cores:
             raise MappingError(
-                f"tree descent produced {len(cluster_sets)} clusters for "
+                f"descent produced {len(cluster_sets)} clusters for "
                 f"{machine.num_cores} cores"
             )
         return cluster_sets

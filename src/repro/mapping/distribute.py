@@ -145,7 +145,6 @@ class TopologyAwareMapper:
         local_scheduling: bool = False,
         dependence_policy: str = "barrier",
         max_groups: int | None = 50_000,
-        refine: bool = True,
         cluster_strategy: str = "greedy",
         store=None,
     ):
@@ -160,19 +159,9 @@ class TopologyAwareMapper:
             dependence_policy=dependence_policy,
             cluster_strategy=cluster_strategy,
             max_groups=max_groups,
-            refine=refine,
         )
         self.machine = machine
         self.knobs = knobs
-        self.block_size = block_size
-        self.balance_threshold = balance_threshold
-        self.alpha = alpha
-        self.beta = beta
-        self.local_scheduling = local_scheduling
-        self.dependence_policy = dependence_policy
-        self.max_groups = max_groups
-        self.refine = refine
-        self.cluster_strategy = cluster_strategy
         self.store = store
 
     def _pipeline(self):

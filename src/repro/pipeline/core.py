@@ -128,19 +128,6 @@ def _stage_distribute(
     assignments = hierarchical_distribute(
         groups, pipe.machine, knobs.balance_threshold, knobs.cluster_strategy
     )
-    if knobs.refine:
-        from repro.mapping.balance import Cluster, balance_clusters
-        from repro.mapping.refine import refine_assignment
-
-        # Refine against the topology objective inside a wider balance
-        # window, then re-tighten the balance (splitting groups where
-        # needed) so the final assignment honors the threshold.
-        with obs.span("map.refine"):
-            window = max(knobs.balance_threshold, 0.08)
-            assignments = refine_assignment(assignments, pipe.machine, window)
-            clusters = [Cluster(core_groups) for core_groups in assignments]
-            balance_clusters(clusters, knobs.balance_threshold)
-            assignments = [list(c.groups) for c in clusters]
     return TreeAssignment(tuple(tuple(core) for core in assignments))
 
 

@@ -29,13 +29,13 @@ STAGE_ORDER = ("blocksize", "tagging", "dependence", "distribute", "schedule")
 #: the paper: block size is the Section 4.1 heuristic's override;
 #: ``max_groups`` is the tagging explosion guard; ``dependence_policy``
 #: picks between Section 3.5.2's barrier and co-cluster options;
-#: ``balance_threshold``/``cluster_strategy``/``refine`` shape the
-#: Figure 6 descent; α/β and ``local_scheduling`` are Section 3.5.3.
+#: ``balance_threshold``/``cluster_strategy`` shape the Figure 6
+#: descent; α/β and ``local_scheduling`` are Section 3.5.3.
 STAGE_KNOBS: dict[str, tuple[str, ...]] = {
     "blocksize": ("block_size",),
     "tagging": ("max_groups",),
     "dependence": ("dependence_policy",),
-    "distribute": ("balance_threshold", "cluster_strategy", "refine"),
+    "distribute": ("balance_threshold", "cluster_strategy"),
     "schedule": ("local_scheduling", "alpha", "beta"),
 }
 
@@ -60,7 +60,6 @@ class Knobs:
     dependence_policy: str = "barrier"
     cluster_strategy: str = "greedy"
     max_groups: int | None = 50_000
-    refine: bool = True
 
     def __post_init__(self) -> None:
         if self.dependence_policy not in ("barrier", "co-cluster"):

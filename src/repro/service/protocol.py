@@ -44,8 +44,8 @@ __all__ = [
 #: ``block_size=None`` means the Section 4.1 heuristic.  Values mirror
 #: :class:`repro.pipeline.knobs.Knobs` — the canonical knob dataclass
 #: every cache key in the repo derives from — but the wire surface stays
-#: the historical seven (``max_groups``/``refine`` are not request
-#: knobs; clients get the defaults).
+#: the historical seven (``max_groups`` is not a request knob; clients
+#: get the default).
 KNOB_DEFAULTS: dict[str, Any] = {
     "block_size": None,
     "balance_threshold": 0.10,

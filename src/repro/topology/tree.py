@@ -6,8 +6,8 @@ this is exactly the convention of Figure 6 in the paper.  Leaves are cores.
 
 :class:`Machine` offers the queries the algorithms need:
 
-* :meth:`Machine.clustering_degrees` — the per-level branching used by the
-  hierarchical descent ("NumClusters = degree of nodes at level");
+* :meth:`Machine.clustering_degrees` — the per-level branching of a
+  level-uniform tree ("NumClusters = degree of nodes at level");
 * :meth:`Machine.affinity_level` — the latency of the fastest cache two
   cores share ("two cores have affinity at cache L if both have access to
   that cache", Section 2);
@@ -171,11 +171,12 @@ class Machine:
     # -- clustering support -------------------------------------------------------
 
     def clustering_degrees(self) -> tuple[int, ...]:
-        """Branching factors for the hierarchical descent of Figure 6.
+        """Branching factors of the cache tree, level by level (Figure 6).
 
         Element ``k`` is the number of children each node has at depth
         ``k`` of the cache tree (root = depth 0).  Requires the tree to be
-        level-uniform, which all machines in this library are.
+        level-uniform (see :meth:`is_level_uniform`); the Figure 6 descent
+        itself walks the tree per node and needs no such shape.
         """
         degrees: list[int] = []
         frontier: list[TopologyNode] = [self.root]
@@ -232,8 +233,7 @@ class Machine:
 
         A machine stops being level-uniform when cores are removed
         (:meth:`without_cores`) or an asymmetric hierarchy is described
-        directly; the mapper then falls back to the per-node tree
-        descent instead of the flat per-level one.
+        directly.
         """
         frontier: list[TopologyNode] = [self.root]
         while frontier and frontier[0].kind != "core":

@@ -61,12 +61,6 @@ class TestMapper:
         with pytest.raises(MappingError):
             TopologyAwareMapper(fig9_machine, dependence_policy="yolo")
 
-    def test_refine_flag(self, fig5_program, fig9_machine):
-        for refine in (False, True):
-            mapper = TopologyAwareMapper(fig9_machine, block_size=32, refine=refine)
-            result = mapper.map_nest(fig5_program, fig5_program.nests[0])
-            result.plan().verify_complete()
-
     def test_deterministic(self, fig5_program, fig9_machine):
         def run():
             mapper = TopologyAwareMapper(fig9_machine, block_size=32)

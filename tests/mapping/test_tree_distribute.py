@@ -1,4 +1,4 @@
-"""Per-node tree descent for non-level-uniform machines
+"""The per-node Figure 6 descent on non-level-uniform machines
 (weighted clustering + targeted balancing)."""
 
 import pytest
@@ -6,11 +6,7 @@ import pytest
 from repro.blocks.groups import IterationGroup
 from repro.errors import MappingError
 from repro.mapping.balance import Cluster, balance_to_targets
-from repro.mapping.clustering import (
-    cluster_weighted,
-    hierarchical_distribute,
-    tree_distribute,
-)
+from repro.mapping.clustering import cluster_weighted, hierarchical_distribute
 from repro.pipeline.bench import bench_machine
 
 
@@ -87,19 +83,10 @@ class TestClusterWeighted:
 
 
 class TestTreeDistribute:
-    def test_uniform_tree_matches_flat_descent(self):
-        machine = bench_machine(8)
-        groups = many_groups(16)
-        flat = hierarchical_distribute(groups, machine, threshold=0.10)
-        tree = tree_distribute(groups, machine, threshold=0.10)
-        assert [sorted(g.ident for g in c) for c in tree] == [
-            sorted(g.ident for g in c) for c in flat
-        ]
-
     def test_pruned_machine_covers_all_cores(self):
         machine = bench_machine(8).without_cores([2])
         groups = many_groups(21)
-        sets = tree_distribute(groups, machine, threshold=0.10)
+        sets = hierarchical_distribute(groups, machine, threshold=0.10)
         assert len(sets) == machine.num_cores
         distributed = sorted(g.ident for s in sets for g in s)
         assert distributed == sorted(g.ident for g in groups)
@@ -108,7 +95,7 @@ class TestTreeDistribute:
         # bench8 minus one core: one L2 pair becomes a singleton.
         machine = bench_machine(8).without_cores([3])
         groups = many_groups(28, size=3)
-        sets = tree_distribute(groups, machine, threshold=0.10)
+        sets = hierarchical_distribute(groups, machine, threshold=0.10)
         sizes = [sum(g.size for g in s) for s in sets]
         total = sum(sizes)
         # Every core's share should be within a loose window of 1/7.
@@ -116,24 +103,34 @@ class TestTreeDistribute:
             assert size == pytest.approx(total / machine.num_cores, rel=0.6)
 
     def test_dispatch_from_hierarchical(self):
+        # The root of a pruned tree has children with unequal core
+        # counts, so the descent's first cut is the weighted clustering:
+        # each root child's cores receive exactly one of its clusters.
         machine = bench_machine(8).without_cores([2])
+        children = machine.root.children
+        weights = [len(child.cores_below()) for child in children]
+        assert len(set(weights)) > 1
         groups = many_groups(14)
-        via_dispatch = hierarchical_distribute(groups, machine, threshold=0.10)
-        direct = tree_distribute(groups, machine, threshold=0.10)
-        assert [sorted(g.ident for g in c) for c in via_dispatch] == [
-            sorted(g.ident for g in c) for c in direct
-        ]
+        sets = hierarchical_distribute(groups, machine, threshold=0.10)
+        first_cut = cluster_weighted(groups, weights, threshold=0.10)
+
+        def points(group_lists):
+            return sorted(p for gs in group_lists for g in gs for p in g.iterations)
+
+        for child, cluster in zip(children, first_cut):
+            below = [sets[core] for core in child.cores_below()]
+            assert points(below) == points([cluster.groups])
 
     def test_empty_groups_rejected(self):
         with pytest.raises(MappingError):
-            tree_distribute([], bench_machine(4))
+            hierarchical_distribute([], bench_machine(4))
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(MappingError, match="strategy"):
-            tree_distribute(many_groups(4), bench_machine(4), strategy="anneal")
+            hierarchical_distribute(many_groups(4), bench_machine(4), strategy="anneal")
 
     def test_kl_strategy_works_on_pruned_tree(self):
         machine = bench_machine(8).without_cores([6])
         groups = many_groups(14)
-        sets = tree_distribute(groups, machine, threshold=0.10, strategy="kl")
+        sets = hierarchical_distribute(groups, machine, threshold=0.10, strategy="kl")
         assert len(sets) == machine.num_cores

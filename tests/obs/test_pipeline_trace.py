@@ -22,7 +22,6 @@ PIPELINE_SPANS = {
     "tag.iterations",
     "affinity.pairs",
     "cluster.distribute",
-    "cluster.level",
     "balance",
     "schedule",
     "map.nest",
@@ -30,7 +29,6 @@ PIPELINE_SPANS = {
     "map.tagging",
     "map.dependence",
     "map.clustering",
-    "map.refine",
     "map.scheduling",
     "sim.run",
     "sim.trace_build",
@@ -88,7 +86,6 @@ class TestPipelineTrace:
         col = CollectorSink()
         with obs.tracing(col):
             _run_pipeline(fig5_program, fig9_machine)
-        by_id = {r["id"]: r for r in col.spans()}
         nest_ids = {r["id"] for r in col.spans() if r["name"] == "map.nest"}
         for phase in ("map.partition", "map.tagging", "map.clustering",
                       "map.scheduling"):
@@ -96,9 +93,10 @@ class TestPipelineTrace:
             assert spans, phase
             for sp in spans:
                 assert sp["parent"] in nest_ids
+        by_id = {r["id"]: r for r in col.spans()}
         for sp in col.spans():
-            if sp["name"] == "cluster.level":
-                assert by_id[sp["parent"]]["name"] == "cluster.distribute"
+            if sp["name"] == "cluster.distribute":
+                assert by_id[sp["parent"]]["name"] == "map.clustering"
 
     def test_affinity_weight_table_span(self, fig5_program, fig9_machine):
         pytest.importorskip("numpy", exc_type=ImportError)

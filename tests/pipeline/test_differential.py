@@ -3,12 +3,13 @@
 ``reference_map_nest`` below is a verbatim port of the monolithic
 ``TopologyAwareMapper.map_nest`` body as it existed before the pipeline
 extraction (obs spans and timings stripped; they cannot affect the
-plan).  The randomized suite drives both implementations over
-(program, machine, knob) triples and requires identical
-``ExecutablePlan.rounds`` — the strongest equivalence the simulator can
-observe.  Two integration checks extend the property to the real
-consumers: the experiment harness's ``ta``/``ta+s`` schemes and the
-service engine's response payload.
+plan), minus the refinement pass the mapper no longer runs.  The
+randomized suite drives both implementations over (program, machine,
+knob) triples and requires identical ``ExecutablePlan.rounds`` — the
+strongest equivalence the simulator can observe.  Two integration
+checks extend the property to the real consumers: the experiment
+harness's ``ta``/``ta+s`` schemes and the service engine's response
+payload.
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ import pytest
 from repro.blocks.datablocks import DataBlockPartition
 from repro.blocks.tagger import choose_block_size, tag_iterations
 from repro.lang import compile_source
-from repro.mapping.balance import Cluster, balance_clusters
 from repro.mapping.clustering import hierarchical_distribute
 from repro.mapping.dependence import (
     build_group_dependence_graph,
     merge_dependent_groups,
 )
 from repro.mapping.distribute import ExecutablePlan, TopologyAwareMapper
-from repro.mapping.refine import refine_assignment
 from repro.mapping.schedule import dependence_only_schedule, schedule_groups
 from repro.pipeline import ArtifactStore, Knobs, MappingPipeline
 from repro.topology.cache import CacheSpec
@@ -57,12 +56,6 @@ def reference_map_nest(machine, program, nest, knobs: Knobs) -> ExecutablePlan:
     assignments = hierarchical_distribute(
         groups, machine, knobs.balance_threshold, knobs.cluster_strategy
     )
-    if knobs.refine:
-        window = max(knobs.balance_threshold, 0.08)
-        assignments = refine_assignment(assignments, machine, window)
-        clusters = [Cluster(core_groups) for core_groups in assignments]
-        balance_clusters(clusters, knobs.balance_threshold)
-        assignments = [list(c.groups) for c in clusters]
 
     if knobs.local_scheduling:
         group_rounds = schedule_groups(
@@ -146,7 +139,6 @@ def random_knobs(rng: random.Random) -> Knobs:
         local_scheduling=rng.random() < 0.5,
         dependence_policy=rng.choice(("barrier", "co-cluster")),
         cluster_strategy=rng.choice(("greedy", "kl")),
-        refine=rng.random() < 0.75,
     )
 
 
@@ -198,10 +190,7 @@ class TestDifferential:
         app = workload("h264")
         machine = harness.sim_machine(fig9_machine)
         for scheme, local in (("ta", False), ("ta+s", True)):
-            mapping = harness.mapping_for(
-                app, machine, local_scheduling=local,
-                balance_threshold=harness.BALANCE_THRESHOLD,
-            )
+            mapping = harness.mapping_for(app, machine, harness.scheme_knobs(app, scheme))
             knobs = Knobs(
                 block_size=app.block_size(),
                 balance_threshold=harness.BALANCE_THRESHOLD,
