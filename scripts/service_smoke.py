@@ -8,9 +8,15 @@ the daemon does not drain and exit cleanly.  Latency percentiles and
 the daemon's own /stats snapshot are written as a JSON artifact for the
 CI run to upload.
 
+With ``--cache-dir DIR`` the daemon runs with ``--persistent --cache-dir
+DIR``.  After the drain the script boots it again over the same
+directory and additionally fails unless a repeated request answers
+``cache: "disk"`` and ``repro cache info --dir DIR`` lists a ``plans``
+and a ``mappings`` file.
+
 Usage:
     python scripts/service_smoke.py [--out service-smoke.json]
-            [--requests 50] [--workers 2]
+            [--requests 50] [--workers 2] [--cache-dir DIR]
 """
 
 import argparse
@@ -43,11 +49,15 @@ parallel for (i = 0; i < m; i++)
 VARIANTS = [SOURCE_TEMPLATE.format(m=m) for m in (16, 24, 32, 40, 48)]
 
 
-def boot_daemon(workers):
+def repro_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    return env
+
+
+def boot_daemon(workers, extra_args=()):
     # stderr goes to a file, not a pipe: nothing drains a pipe during
     # the run, and on failure we want the worker tracebacks back.
     stderr_file = tempfile.NamedTemporaryFile(
@@ -55,8 +65,8 @@ def boot_daemon(workers):
     )
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--queue-size", "64", "--workers", str(workers)],
-        stdout=subprocess.PIPE, stderr=stderr_file, text=True, env=env,
+         "--queue-size", "64", "--workers", str(workers), *extra_args],
+        stdout=subprocess.PIPE, stderr=stderr_file, text=True, env=repro_env(),
     )
     proc.stderr_path = stderr_file.name
     banner = proc.stdout.readline()
@@ -108,14 +118,65 @@ def fire(client, index, failures):
     return label, status, elapsed_ms, parsed.get("cache")
 
 
+def drain(proc, failures):
+    """SIGTERM the daemon and wait for a clean exit; returns its code."""
+    proc.send_signal(signal.SIGTERM)
+    try:
+        exit_code = proc.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        exit_code = None
+        failures.append("daemon did not exit within 60s of SIGTERM")
+    if exit_code not in (None, 0):
+        failures.append(f"daemon exited {exit_code}, expected 0")
+    return exit_code
+
+
+def check_restart(workers, daemon_args, cache_dir, failures):
+    """Reboot over the same cache directory and check the disk tiers."""
+    proc, port = boot_daemon(workers, daemon_args)
+    tier = None
+    try:
+        client = ServiceClient(port=port, timeout=120)
+        client.wait_ready(timeout=30)
+        # Request 0 repeats one the first boot mapped; the router cache
+        # and the worker LRU start empty, so only the disk can answer.
+        _label, _status, _ms, tier = fire(client, 0, failures)
+    finally:
+        exit_code = drain(proc, failures)
+    if tier != "disk":
+        failures.append(f"repeat after restart answered cache={tier!r}, "
+                        "expected 'disk'")
+    listing = subprocess.run(
+        [sys.executable, "-m", "repro", "cache", "info", "--dir", cache_dir],
+        capture_output=True, text=True, env=repro_env(), check=False,
+    )
+    listed = {line.split("|")[0].strip()
+              for line in listing.stdout.splitlines()[2:]}
+    for wanted in ("plans", "mappings"):
+        if wanted not in listed:
+            failures.append(f"repro cache info lists no {wanted} file")
+    return {
+        "restart_cache_tier": tier,
+        "restart_exit_code": exit_code,
+        "cache_info": listing.stdout.splitlines(),
+    }, stderr_tail(proc)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="service-smoke.json")
     parser.add_argument("--requests", type=int, default=50)
     parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--cache-dir", default=None, metavar="DIR",
+                        help="run persistent over DIR, then restart and "
+                             "require disk-tier answers")
     args = parser.parse_args(argv)
 
-    proc, port = boot_daemon(args.workers)
+    daemon_args = []
+    if args.cache_dir:
+        daemon_args = ["--persistent", "--cache-dir", args.cache_dir]
+    proc, port = boot_daemon(args.workers, daemon_args)
     failures = []
     results = []
     try:
@@ -129,15 +190,7 @@ def main(argv=None):
             results = [f.result() for f in futures]
         stats = client.stats()
     finally:
-        proc.send_signal(signal.SIGTERM)
-        try:
-            exit_code = proc.wait(timeout=60)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            exit_code = None
-            failures.append("daemon did not exit within 60s of SIGTERM")
-    if exit_code not in (None, 0):
-        failures.append(f"daemon exited {exit_code}, expected 0")
+        exit_code = drain(proc, failures)
     daemon_stderr = stderr_tail(proc)
 
     latencies = sorted(ms for _label, _status, ms, _tier in results)
@@ -167,11 +220,17 @@ def main(argv=None):
         "stats": stats,
         "failures": failures,
     }
+    summary_keys = ["requests", "statuses", "cache_tiers", "latency_ms",
+                    "daemon_exit_code"]
+    if args.cache_dir:
+        report["persistent"], restart_stderr = check_restart(
+            args.workers, daemon_args, args.cache_dir, failures
+        )
+        daemon_stderr = "\n".join(filter(None, (daemon_stderr, restart_stderr)))
+        summary_keys.append("persistent")
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
-    print(json.dumps({k: report[k] for k in
-                      ("requests", "statuses", "cache_tiers", "latency_ms",
-                       "daemon_exit_code")}, indent=2))
+    print(json.dumps({k: report[k] for k in summary_keys}, indent=2))
     if failures:
         print("FAILURES:", *failures, sep="\n  ", file=sys.stderr)
         if daemon_stderr:

@@ -279,10 +279,11 @@ def cmd_cache(args) -> int:
         return 0
     files = result_cache.info(directory)
     if not files:
-        print(f"no result caches in {directory}")
+        print(f"no cache files in {directory}")
         return 0
     rows = [
         (
+            entry["tier"],
             entry["file"],
             entry["entries"],
             f"{entry['bytes'] / 1024:.1f}KB",
@@ -290,7 +291,7 @@ def cmd_cache(args) -> int:
         )
         for entry in files
     ]
-    print(format_table(["file", "results", "size", "fingerprint"], rows))
+    print(format_table(["tier", "file", "entries", "size", "fingerprint"], rows))
     return 0
 
 
@@ -790,7 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp_parser.set_defaults(func=cmd_experiments)
 
     cache_parser = sub.add_parser(
-        "cache", help="inspect or clear the persistent result cache"
+        "cache", help="inspect or clear the persistent caches "
+                      "(plans, mappings, results)"
     )
     cache_parser.add_argument("action", choices=("info", "clear", "path"))
     cache_parser.add_argument("--dir", default=None, metavar="DIR",

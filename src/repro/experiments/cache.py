@@ -16,19 +16,16 @@ Keys are *content* keys, never timestamps:
   workloads or harness constants starts from an empty cache instead of
   serving stale results.
 
-The store is a single JSON file per fingerprint under
-``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``).  Writes are
-write-through and atomic (temp file + ``os.replace``); a corrupt or
-foreign file is treated as empty, never an error.  Only the parent
-experiment process writes — worker processes run with the disk cache
-disabled (see ``repro.experiments.run_all``) — so there is a single
-writer per file.
+The file lives under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``)
+as the ``results`` namespace of :class:`repro.util.store.JsonStore`,
+which owns the format, the write-through merge-on-write that makes
+concurrent runs over one directory safe, and :func:`info`/:func:`clear`
+over every cache tier.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pathlib
 from functools import lru_cache
@@ -36,6 +33,7 @@ from functools import lru_cache
 import repro
 from repro.sim.stats import LevelStats, SimResult
 from repro.topology.tree import Machine, TopologyNode
+from repro.util import store
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -43,15 +41,22 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Source files whose content can change simulation results.  Everything
 #: under ``src/repro`` counts except presentation/plumbing: the obs
 #: layer, the CLI, the serving layer (it only transports pipeline inputs
-#: and outputs), the pipeline's cache metadata (the artifact store and
-#: plan persistence hold results, they do not compute them — the stage
-#: bodies in ``pipeline/core.py`` and ``pipeline/knobs.py`` stay in),
-#: and the experiment figure modules (they only arrange results).
+#: and outputs), the cache plumbing (the artifact store, plan
+#: persistence and the shared stores in ``util/`` hold results, they do
+#: not compute them — the stage bodies in ``pipeline/core.py`` and
+#: ``pipeline/knobs.py`` stay in), and the experiment figure modules
+#: (they only arrange results).
 #: ``harness.py`` and ``versions.py`` stay in because they hold
 #: result-affecting constants (scale, balance threshold) and the
 #: retargeting logic.
 _EXEMPT_PREFIXES = ("obs/", "service/")
-_EXEMPT_FILES = ("cli.py", "pipeline/store.py", "pipeline/persist.py")
+_EXEMPT_FILES = (
+    "cli.py",
+    "pipeline/store.py",
+    "pipeline/persist.py",
+    "util/store.py",
+    "util/filelock.py",
+)
 _EXPERIMENT_KEEP = ("experiments/harness.py", "experiments/versions.py")
 
 
@@ -126,10 +131,6 @@ def machine_digest(machine: Machine) -> str:
     return hashlib.sha256(repr(spec).encode()).hexdigest()[:16]
 
 
-def _encode_key(key: tuple) -> str:
-    return json.dumps(key, separators=(",", ":"))
-
-
 def _result_to_dict(result: SimResult) -> dict:
     return {
         "label": result.label,
@@ -163,34 +164,25 @@ class DiskCache:
 
     ``get``/``put`` speak harness key tuples and
     :class:`~repro.sim.stats.SimResult` values.  ``put`` writes through
-    immediately (atomic rename), so results survive an interrupted
-    experiment run.
+    immediately, so results survive an interrupted experiment run, and
+    merges with entries other processes wrote to the same file.
     """
 
     def __init__(self, directory: str | None = None, fingerprint: str | None = None):
-        self.directory = directory or default_cache_dir()
-        self.fingerprint = fingerprint or code_fingerprint()
-        self.path = os.path.join(
-            self.directory, f"results-{self.fingerprint[:12]}.json"
+        self._store = store.JsonStore(
+            directory or default_cache_dir(),
+            "results",
+            fingerprint or code_fingerprint(),
         )
-        self._entries: dict[str, dict] = self._load()
-
-    def _load(self) -> dict[str, dict]:
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(payload, dict) or payload.get("fingerprint") != self.fingerprint:
-            return {}
-        entries = payload.get("results")
-        return entries if isinstance(entries, dict) else {}
+        self.directory = self._store.directory
+        self.fingerprint = self._store.fingerprint
+        self.path = self._store.path
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._store)
 
     def get(self, key: tuple) -> SimResult | None:
-        raw = self._entries.get(_encode_key(key))
+        raw = self._store.get(key)
         if raw is None:
             return None
         try:
@@ -199,66 +191,14 @@ class DiskCache:
             return None
 
     def put(self, key: tuple, result: SimResult) -> None:
-        encoded = _encode_key(key)
-        if encoded in self._entries:
-            return
-        self._entries[encoded] = _result_to_dict(result)
-        self._flush()
-
-    def _flush(self) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        payload = {"fingerprint": self.fingerprint, "results": self._entries}
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, self.path)
+        self._store.put(key, _result_to_dict(result))
 
 
 def clear(directory: str | None = None) -> int:
-    """Delete every result file in the cache directory; returns the count."""
-    directory = directory or default_cache_dir()
-    removed = 0
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return 0
-    for name in names:
-        if name.startswith("results-") and name.endswith((".json", ".json.tmp")):
-            try:
-                os.unlink(os.path.join(directory, name))
-                removed += 1
-            except OSError:
-                pass
-    return removed
+    """Delete every cache file (all tiers) in the directory; returns the count."""
+    return store.clear(directory or default_cache_dir())
 
 
 def info(directory: str | None = None) -> list[dict]:
-    """One summary dict per cache file: path, entry count, size, currency."""
-    directory = directory or default_cache_dir()
-    current = f"results-{code_fingerprint()[:12]}.json"
-    out = []
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return []
-    for name in names:
-        if not (name.startswith("results-") and name.endswith(".json")):
-            continue
-        path = os.path.join(directory, name)
-        try:
-            size = os.path.getsize(path)
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            entries = len(payload.get("results", {}))
-        except (OSError, ValueError):
-            size, entries = 0, 0
-        out.append(
-            {
-                "file": name,
-                "path": path,
-                "entries": entries,
-                "bytes": size,
-                "current": name == current,
-            }
-        )
-    return out
+    """One summary dict per cache file (all tiers); see :func:`repro.util.store.info`."""
+    return store.info(directory or default_cache_dir(), code_fingerprint())

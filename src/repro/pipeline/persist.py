@@ -5,32 +5,11 @@ hold live ``IterationGroup`` objects whose idents — which the scheduler
 uses as deterministic tie-breakers — do not survive serialization, so
 persisting them could replay a *valid but different* plan.  The final
 stage's output, by contrast, is pure data: per-core rounds of iteration
-tuples.  This tier persists exactly that, under the same discipline as
-:mod:`repro.experiments.cache`:
-
-* content keys (the pipeline's schedule-stage key, minus the process-
-  local ident epoch), never timestamps;
-* the mapping-relevant code fingerprint baked into the file name
-  (``plans-<fp12>.json``), so editing the mapper starts a fresh file
-  instead of serving stale plans;
-* write-through, atomic replace, corrupt/foreign files read as empty.
-
-**Cross-process sharing.**  The sharded service runs N worker processes
-over one store file, so a flush is a locked read-merge-replace rather
-than a blind ``os.replace`` (which was last-writer-wins: two workers
-persisting different plans concurrently silently dropped one).  Every
-writer takes the adjacent ``.lock`` file, re-reads the on-disk entries,
-merges its own on top, and only then replaces the file — entries are
-content-keyed, so a key collision between processes is by construction
-the same plan and the merge is conflict-free.  Reads pick up other
-processes' writes lazily: a ``get`` miss re-checks the file's stat
-signature and reloads when it changed.
-
-**Compaction** is single-writer: :meth:`PlanStore.compact` elects itself
-through a non-blocking ``.compact.lock`` (losers return ``None`` and
-skip), then rewrites the file dropping malformed entries and — given
-``max_entries`` — the oldest overflow (JSON objects preserve insertion
-order, so the tail of the dict is the newest).
+tuples.  This tier persists exactly that, keyed by the pipeline's
+schedule-stage key minus the process-local ident epoch, in the
+``plans`` namespace of :class:`repro.util.store.JsonStore`
+(``plans-<fp12>.json``; see that module for the fingerprint, the
+cross-process merge-on-write and the single-writer compaction).
 
 :meth:`MappingPipeline.plan` consults this tier before running anything,
 which makes cold-process sweeps (a fresh ``repro tune`` over knobs
@@ -39,104 +18,41 @@ already explored yesterday) skip the whole chain.
 
 from __future__ import annotations
 
-import json
-import os
-import threading
-
 from repro.errors import MappingError
 from repro.experiments.cache import code_fingerprint, default_cache_dir
 from repro.ir.loops import LoopNest
 from repro.mapping.distribute import ExecutablePlan
 from repro.topology.tree import Machine
-from repro.util.filelock import FileLock
+from repro.util.store import JsonStore
 
-#: Schema tag for the persistent file payload.
-STORE_FORMAT = 1
+
+def _well_formed(raw) -> bool:
+    return (
+        isinstance(raw, dict)
+        and isinstance(raw.get("label"), str)
+        and isinstance(raw.get("rounds"), list)
+    )
 
 
 class PlanStore:
     """One on-disk plan store, bound to one code fingerprint.
 
-    Safe for concurrent use from many threads (internal mutex) and many
-    processes (file lock + merge-on-write; see the module docstring).
+    Safe for concurrent use from many threads and many processes.
     """
 
     def __init__(self, directory: str | None = None):
-        self.directory = directory or default_cache_dir()
-        self.fingerprint = code_fingerprint()
-        self.path = os.path.join(
-            self.directory, f"plans-{self.fingerprint[:12]}.json"
+        self._store = JsonStore(
+            directory or default_cache_dir(), "plans", code_fingerprint()
         )
-        self._mutex = threading.RLock()
-        self._disk_sig: tuple | None = None
-        self._entries: dict[str, dict] = {}
-        self._reload_if_changed()
-
-    # -- disk primitives -------------------------------------------------
-    def _signature(self) -> tuple | None:
-        """A cheap change detector for the store file."""
-        try:
-            st = os.stat(self.path)
-        except OSError:
-            return None
-        return (st.st_mtime_ns, st.st_size, st.st_ino)
-
-    def _read_disk(self) -> dict[str, dict]:
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return {}
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != STORE_FORMAT
-            or payload.get("fingerprint") != self.fingerprint
-        ):
-            return {}
-        entries = payload.get("plans")
-        return entries if isinstance(entries, dict) else {}
-
-    def _reload_if_changed(self) -> None:
-        """Fold in entries other processes persisted since our last look."""
-        sig = self._signature()
-        if sig == self._disk_sig:
-            return
-        merged = self._read_disk()
-        merged.update(self._entries)
-        self._entries = merged
-        self._disk_sig = sig
-
-    def _write(self, entries: dict[str, dict]) -> None:
-        """Atomically replace the store file (caller holds the file lock)."""
-        payload = {
-            "format": STORE_FORMAT,
-            "fingerprint": self.fingerprint,
-            "plans": entries,
-        }
-        tmp = f"{self.path}.{os.getpid()}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, self.path)
-
-    def _lock(self) -> FileLock:
-        return FileLock(self.path + ".lock")
+        self.directory = self._store.directory
+        self.fingerprint = self._store.fingerprint
+        self.path = self._store.path
 
     def __len__(self) -> int:
-        with self._mutex:
-            return len(self._entries)
+        return len(self._store)
 
-    @staticmethod
-    def _encode(key: tuple) -> str:
-        return json.dumps(key, separators=(",", ":"))
-
-    # -- store API -------------------------------------------------------
     def get(self, key: tuple, machine: Machine, nest: LoopNest) -> ExecutablePlan | None:
-        encoded = self._encode(key)
-        with self._mutex:
-            raw = self._entries.get(encoded)
-            if raw is None:
-                self._reload_if_changed()
-                raw = self._entries.get(encoded)
+        raw = self._store.get(key)
         if raw is None:
             return None
         try:
@@ -151,68 +67,21 @@ class PlanStore:
             return None
 
     def put(self, key: tuple, plan: ExecutablePlan) -> None:
-        encoded = self._encode(key)
-        with self._mutex:
-            if encoded in self._entries:
-                return
-            self._entries[encoded] = {
+        self._store.put(
+            key,
+            {
                 "label": plan.label,
                 "rounds": [
                     [[list(p) for p in rnd] for rnd in core] for core in plan.rounds
                 ],
-            }
-            self._flush()
-
-    def _flush(self) -> None:
-        """Locked read-merge-replace (caller holds the thread mutex)."""
-        os.makedirs(self.directory, exist_ok=True)
-        with self._lock():
-            merged = self._read_disk()
-            merged.update(self._entries)
-            self._entries = merged
-            self._write(merged)
-            self._disk_sig = self._signature()
-
-    # -- maintenance -----------------------------------------------------
-    @staticmethod
-    def _well_formed(raw) -> bool:
-        return (
-            isinstance(raw, dict)
-            and isinstance(raw.get("label"), str)
-            and isinstance(raw.get("rounds"), list)
+            },
         )
 
     def compact(self, max_entries: int | None = None) -> dict | None:
         """Rewrite the store, dropping malformed and overflow entries.
 
-        Only one process compacts at a time: the election is a
-        non-blocking claim on ``.compact.lock``, and losers return
-        ``None`` without touching the file.  Winners return a summary
-        ``{"kept", "dropped_invalid", "dropped_overflow"}``.
+        Single-writer: returns ``None`` when another process holds the
+        compaction election, else ``{"kept", "dropped_invalid",
+        "dropped_overflow"}`` (see :meth:`JsonStore.compact`).
         """
-        if max_entries is not None and max_entries < 0:
-            raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        os.makedirs(self.directory, exist_ok=True)
-        election = FileLock(self.path + ".compact.lock")
-        if not election.acquire(blocking=False):
-            return None
-        try:
-            with self._mutex, self._lock():
-                disk = self._read_disk()
-                valid = {k: v for k, v in disk.items() if self._well_formed(v)}
-                dropped_invalid = len(disk) - len(valid)
-                dropped_overflow = 0
-                if max_entries is not None and len(valid) > max_entries:
-                    dropped_overflow = len(valid) - max_entries
-                    keep = list(valid.items())[dropped_overflow:]
-                    valid = dict(keep)
-                self._write(valid)
-                self._entries = dict(valid)
-                self._disk_sig = self._signature()
-            return {
-                "kept": len(valid),
-                "dropped_invalid": dropped_invalid,
-                "dropped_overflow": dropped_overflow,
-            }
-        finally:
-            election.release()
+        return self._store.compact(_well_formed, max_entries)

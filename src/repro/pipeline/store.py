@@ -2,9 +2,10 @@
 
 Keys are the driver's content-addressed stage keys; values are the
 immutable artifacts of :mod:`repro.pipeline.artifacts`.  The store is a
-bounded, thread-safe LRU (the service's worker threads share one), with
-hit/miss/eviction counts surfaced both through :meth:`ArtifactStore.stats`
-and the obs decision counters the driver emits per stage.
+:class:`repro.util.store.LRU` (the service's worker threads share one),
+with hit/miss/eviction counts surfaced both through
+:meth:`ArtifactStore.stats` and the obs decision counters the pipeline
+emits per stage.
 
 Stage artifacts hold live :class:`~repro.blocks.groups.IterationGroup`
 objects whose idents come from a process-global counter, so cache keys
@@ -18,9 +19,9 @@ collisions could corrupt dependence lookups.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 from repro.blocks.groups import IterationGroup
+from repro.util.store import LRU
 
 
 def ident_epoch() -> int:
@@ -28,37 +29,19 @@ def ident_epoch() -> int:
     return getattr(IterationGroup, "_ident_epoch", 0)
 
 
-class ArtifactStore:
-    """Bounded, thread-safe LRU over stage artifacts."""
+class ArtifactStore(LRU):
+    """Bounded, thread-safe LRU over stage artifacts.
+
+    Entries are keyed by ``repr(key)``, which tells ``1`` from ``1.0``
+    where tuple hashing would not, so knob values of different types
+    never share an artifact.
+    """
 
     def __init__(self, capacity: int = 256):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, object] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @staticmethod
-    def _encode(key: tuple) -> str:
-        return repr(key)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        super().__init__(capacity)
 
     def get(self, key: tuple):
-        encoded = self._encode(key)
-        with self._lock:
-            value = self._entries.get(encoded)
-            if value is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(encoded)
-            self.hits += 1
-            return value
+        return super().get(repr(key))
 
     def peek(self, key: tuple):
         """Non-counting lookup: no LRU promotion, no hit/miss accounting.
@@ -67,31 +50,10 @@ class ArtifactStore:
         machine-independent prefix old-key -> new-key and must not
         distort the store's hit-rate statistics while doing so.
         """
-        with self._lock:
-            return self._entries.get(self._encode(key))
+        return super().peek(repr(key))
 
     def put(self, key: tuple, artifact) -> None:
-        encoded = self._encode(key)
-        with self._lock:
-            self._entries[encoded] = artifact
-            self._entries.move_to_end(encoded)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
+        super().put(repr(key), artifact)
 
 
 #: The process-wide default store, shared by the harness, the service

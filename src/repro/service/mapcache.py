@@ -1,121 +1,24 @@
-"""Two-tier mapping cache: in-process LRU over an optional disk store.
+"""Two-tier mapping cache: an in-process LRU over an optional disk store.
 
-Tier 1 is a bounded, thread-safe LRU dictionary; tier 2 reuses the
-content-keyed fingerprinting of :mod:`repro.experiments.cache` — entries
-live in ``mappings-<fp12>.json`` under the cache directory, where the
-fingerprint covers every mapping-relevant source file.  Editing the
-mapper therefore moves the service to a fresh (empty) file instead of
-serving stale mappings, exactly like the experiment result cache.
+Tier 1 is a :class:`repro.util.store.LRU`; tier 2 is the ``mappings``
+namespace of :class:`repro.util.store.JsonStore` (``mappings-<fp12>.json``
+under the cache directory), so editing the mapper moves the service to
+a fresh file instead of serving stale mappings, and N shard workers can
+share one directory.
 
 Keys are the protocol's ``(nest digest, topology digest, knob tuple)``
-triples; values are the engine's JSON-serializable response payloads.
-A tier-1 miss that hits tier 2 is promoted into the LRU, so a warm
-restart pays the disk read once per key.
+triples, stored in both tiers under :func:`repro.util.store.encode_key`;
+values are the engine's JSON-serializable response payloads.  A tier-1 miss
+that hits tier 2 is promoted into the LRU, so a warm restart pays the
+disk read once per key.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
-from collections import OrderedDict
 
 from repro.experiments.cache import code_fingerprint, default_cache_dir
-from repro.util.filelock import FileLock
-
-#: JSON schema tag for the persistent tier's file payload.
-STORE_FORMAT = 1
-
-
-def _encode_key(key: tuple) -> str:
-    return json.dumps(key, separators=(",", ":"))
-
-
-class _DiskStore:
-    """The persistent tier: one JSON file per code fingerprint.
-
-    Same discipline as :class:`repro.pipeline.persist.PlanStore`:
-    write-through, corrupt/foreign files read as empty, and — because
-    the sharded service runs N worker processes over one cache
-    directory — every flush is a locked read-merge-replace instead of a
-    last-writer-wins ``os.replace``, and a miss re-checks the file's
-    stat signature so entries persisted by sibling processes become
-    visible without a restart.
-    """
-
-    def __init__(self, directory: str | None = None):
-        self.directory = directory or default_cache_dir()
-        self.fingerprint = code_fingerprint()
-        self.path = os.path.join(
-            self.directory, f"mappings-{self.fingerprint[:12]}.json"
-        )
-        self._disk_sig: tuple | None = None
-        self._entries: dict[str, dict] = {}
-        self._reload_if_changed()
-
-    def _signature(self) -> tuple | None:
-        try:
-            st = os.stat(self.path)
-        except OSError:
-            return None
-        return (st.st_mtime_ns, st.st_size, st.st_ino)
-
-    def _read_disk(self) -> dict[str, dict]:
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return {}
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != STORE_FORMAT
-            or payload.get("fingerprint") != self.fingerprint
-        ):
-            return {}
-        entries = payload.get("mappings")
-        return entries if isinstance(entries, dict) else {}
-
-    def _reload_if_changed(self) -> None:
-        sig = self._signature()
-        if sig == self._disk_sig:
-            return
-        merged = self._read_disk()
-        merged.update(self._entries)
-        self._entries = merged
-        self._disk_sig = sig
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, encoded: str) -> dict | None:
-        value = self._entries.get(encoded)
-        if value is None:
-            self._reload_if_changed()
-            value = self._entries.get(encoded)
-        return value if isinstance(value, dict) else None
-
-    def put(self, encoded: str, value: dict) -> None:
-        if encoded in self._entries:
-            return
-        self._entries[encoded] = value
-        self._flush()
-
-    def _flush(self) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        with FileLock(self.path + ".lock"):
-            merged = self._read_disk()
-            merged.update(self._entries)
-            self._entries = merged
-            payload = {
-                "format": STORE_FORMAT,
-                "fingerprint": self.fingerprint,
-                "mappings": merged,
-            }
-            tmp = f"{self.path}.{os.getpid()}.tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, self.path)
-            self._disk_sig = self._signature()
+from repro.util.store import LRU, JsonStore, encode_key
 
 
 class MappingCache:
@@ -123,8 +26,7 @@ class MappingCache:
 
     ``get`` returns ``(value, tier)`` with tier ``"memory"`` or
     ``"disk"``, or ``None`` on a full miss.  Hit/miss counts per tier
-    are kept under the same lock and surface in the service's
-    ``/stats``.
+    surface in the service's ``/stats``.
     """
 
     def __init__(
@@ -133,66 +35,65 @@ class MappingCache:
         directory: str | None = None,
         persistent: bool = False,
     ):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+        self._lru = LRU(capacity)
         self.capacity = capacity
-        self._lru: OrderedDict[str, dict] = OrderedDict()
-        self._lock = threading.Lock()
-        self._disk = _DiskStore(directory) if persistent else None
-        self.hits_memory = 0
+        self._disk = (
+            JsonStore(directory or default_cache_dir(), "mappings", code_fingerprint())
+            if persistent
+            else None
+        )
+        self._counts_lock = threading.Lock()
         self.hits_disk = 0
         self.misses = 0
-        self.evictions = 0
 
     @property
     def persistent(self) -> bool:
         return self._disk is not None
 
+    @property
+    def hits_memory(self) -> int:
+        return self._lru.hits
+
+    @property
+    def evictions(self) -> int:
+        return self._lru.evictions
+
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._lru)
+        return len(self._lru)
 
     def get(self, key: tuple) -> tuple[dict, str] | None:
-        encoded = _encode_key(key)
-        with self._lock:
-            value = self._lru.get(encoded)
-            if value is not None:
-                self._lru.move_to_end(encoded)
-                self.hits_memory += 1
-                return value, "memory"
-            if self._disk is not None:
-                value = self._disk.get(encoded)
-                if value is not None:
+        encoded = encode_key(key)
+        value = self._lru.get(encoded)
+        if value is not None:
+            return value, "memory"
+        if self._disk is not None:
+            value = self._disk.get(key)
+            if isinstance(value, dict):
+                with self._counts_lock:
                     self.hits_disk += 1
-                    self._admit(encoded, value)
-                    return value, "disk"
+                self._lru.put(encoded, value)
+                return value, "disk"
+        with self._counts_lock:
             self.misses += 1
-            return None
+        return None
 
     def put(self, key: tuple, value: dict) -> None:
-        encoded = _encode_key(key)
-        with self._lock:
-            self._admit(encoded, value)
-            if self._disk is not None:
-                self._disk.put(encoded, value)
-
-    def _admit(self, encoded: str, value: dict) -> None:
-        self._lru[encoded] = value
-        self._lru.move_to_end(encoded)
-        while len(self._lru) > self.capacity:
-            self._lru.popitem(last=False)
-            self.evictions += 1
+        self._lru.put(encode_key(key), value)
+        if self._disk is not None:
+            self._disk.put(key, value)
 
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "entries": len(self._lru),
-                "persistent": self._disk is not None,
-                "disk_entries": len(self._disk) if self._disk else 0,
-                "disk_path": self._disk.path if self._disk else None,
-                "hits_memory": self.hits_memory,
-                "hits_disk": self.hits_disk,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
+        memory = self._lru.stats()
+        with self._counts_lock:
+            hits_disk, misses = self.hits_disk, self.misses
+        return {
+            "capacity": self.capacity,
+            "entries": memory["entries"],
+            "persistent": self._disk is not None,
+            "disk_entries": len(self._disk) if self._disk is not None else 0,
+            "disk_path": self._disk.path if self._disk is not None else None,
+            "hits_memory": memory["hits"],
+            "hits_disk": hits_disk,
+            "misses": misses,
+            "evictions": memory["evictions"],
+        }

@@ -54,7 +54,7 @@ from repro import obs
 from repro.errors import ReproError
 from repro.service.admission import AdmissionQueue, Job
 from repro.service.engine import baseline_mapping, compute_mapping, compute_remap
-from repro.service.mapcache import MappingCache, _encode_key
+from repro.service.mapcache import MappingCache
 from repro.service.protocol import (
     MappingRequest,
     ServiceError,
@@ -62,6 +62,7 @@ from repro.service.protocol import (
     parse_remap_request,
     parse_request,
 )
+from repro.util.store import encode_key
 
 #: Environment variable enabling per-request trace capture.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
@@ -69,6 +70,9 @@ TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 #: Upper bound on a request body, in bytes (a serialized program for a
 #: large nest is ~100KB; 16MB leaves two orders of magnitude of headroom).
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Longest a request waits for its job before answering 503.
+HARD_TIMEOUT_S = 300.0
 
 
 @dataclass
@@ -83,7 +87,6 @@ class ServiceConfig:
     cache_dir: str | None = None
     persistent: bool = False
     default_deadline_ms: float | None = None
-    hard_timeout_s: float = 300.0
     drain_timeout_s: float = 30.0
     debug: bool = False
     collect_obs: bool = True
@@ -341,7 +344,7 @@ class MappingService:
         # Coalescing: exactly one thread becomes the leader for a cold
         # key; the check-and-register is atomic, so concurrent identical
         # requests cost one pipeline compute however they interleave.
-        encoded = _encode_key(request.cache_key)
+        encoded = encode_key(request.cache_key)
         with self._inflight_lock:
             job = self._inflight.get(encoded)
             leader = job is None
@@ -415,11 +418,11 @@ class MappingService:
 
     def _await(self, job: Job, request_id: str) -> dict:
         """Wait for a job (own or a coalesced leader's) to finish."""
-        if not job.done.wait(timeout=self.config.hard_timeout_s):
+        if not job.done.wait(timeout=HARD_TIMEOUT_S):
             self.stats.bump("timeouts")
             raise Unavailable(
                 f"request {request_id} exceeded the hard timeout "
-                f"({self.config.hard_timeout_s:.0f}s)"
+                f"({HARD_TIMEOUT_S:.0f}s)"
             )
         if job.error is not None:
             raise job.error

@@ -20,8 +20,8 @@
                           |                |
                           +-------+--------+
                                   v
-                  shared cache directory (PlanStore +
-                  mapping disk tier, file-locked merge-on-write)
+                  shared cache directory (plans- and mappings-
+                  files, repro.util.store merge-on-write)
 
 Routing is by **program digest**: the router hashes each request's
 program (its ``source`` text or serialized ``program`` object) onto a
@@ -66,20 +66,29 @@ import socket
 import sys
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import repro
 from repro.service.hashring import HashRing
 from repro.service.server import (
+    HARD_TIMEOUT_S,
     MAX_BODY_BYTES,
     MappingService,
     ServiceConfig,
     _LatencyWindow,
 )
+from repro.util.store import LRU
 
 __all__ = ["ShardConfig", "ShardService", "shard_key"]
+
+#: Per-proxied-request timeout: it must exceed the worker's own hard
+#: timeout so the worker's timeout answer, not a broken proxy, reaches
+#: the client.
+PROXY_TIMEOUT_S = HARD_TIMEOUT_S + 10.0
+
+#: Drain-time compaction caps the shared plan tier at this many entries.
+COMPACT_MAX_PLANS = 4096
 
 
 def shard_key(payload: dict) -> str:
@@ -114,7 +123,6 @@ class ShardConfig:
     cache_dir: str | None = None
     persistent: bool = False
     default_deadline_ms: float | None = None
-    hard_timeout_s: float = 300.0
     drain_timeout_s: float = 30.0
     debug: bool = False
     quiet: bool = True
@@ -122,57 +130,6 @@ class ShardConfig:
     router_cache_capacity: int = 1024
     #: Dead-worker sweep period for the health thread.
     health_interval_s: float = 0.25
-    #: Per-proxied-request timeout (must dominate the worker's own).
-    proxy_timeout_s: float = 310.0
-    #: Virtual nodes per worker slot on the hash ring.
-    ring_replicas: int = 64
-    #: Cap the shared plan tier at this many entries on drain-time
-    #: compaction (None skips compaction).
-    compact_max_plans: int | None = 4096
-
-
-class _RouterCache:
-    """Thread-safe LRU of verbatim response bytes, keyed by body digest."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._lru: OrderedDict[str, bytes] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._lru)
-
-    def get(self, key: str) -> bytes | None:
-        with self._lock:
-            data = self._lru.get(key)
-            if data is None:
-                self.misses += 1
-                return None
-            self._lru.move_to_end(key)
-            self.hits += 1
-            return data
-
-    def put(self, key: str, data: bytes) -> None:
-        with self._lock:
-            self._lru[key] = data
-            self._lru.move_to_end(key)
-            while len(self._lru) > self.capacity:
-                self._lru.popitem(last=False)
-                self.evictions += 1
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "entries": len(self._lru),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
 
 
 def _worker_main(config: ServiceConfig, slot: str, conn) -> None:
@@ -244,16 +201,13 @@ class ShardService:
         if config.workers < 1:
             raise ValueError(f"workers must be >= 1, got {config.workers}")
         self.config = config
-        self.ring = HashRing(
-            [f"w{i}" for i in range(config.workers)],
-            replicas=config.ring_replicas,
-        )
+        self.ring = HashRing([f"w{i}" for i in range(config.workers)])
         self.workers: list[WorkerHandle] = [
             WorkerHandle(f"w{i}") for i in range(config.workers)
         ]
         self._by_slot = {handle.slot: handle for handle in self.workers}
         self._cache = (
-            _RouterCache(config.router_cache_capacity)
+            LRU(config.router_cache_capacity)
             if config.router_cache_capacity > 0
             else None
         )
@@ -291,7 +245,6 @@ class ShardService:
             cache_dir=c.cache_dir,
             persistent=c.persistent,
             default_deadline_ms=c.default_deadline_ms,
-            hard_timeout_s=c.hard_timeout_s,
             drain_timeout_s=c.drain_timeout_s,
             debug=c.debug,
             collect_obs=True,
@@ -414,7 +367,7 @@ class ShardService:
                 handle.process.kill()
                 handle.process.join(timeout=5.0)
             self._worker_exits[handle.slot] = handle.process.exitcode
-        if self.config.persistent and self.config.compact_max_plans is not None:
+        if self.config.persistent:
             self._compact_plan_tier()
         self._httpd.shutdown()
         self._httpd.server_close()
@@ -429,7 +382,7 @@ class ShardService:
 
         try:
             summary = PlanStore(self.config.cache_dir).compact(
-                max_entries=self.config.compact_max_plans
+                max_entries=COMPACT_MAX_PLANS
             )
         except OSError:
             return
@@ -491,7 +444,7 @@ class ShardService:
             raise _WorkerDown(f"worker {handle.slot} has no port")
         connection = http.client.HTTPConnection(
             "127.0.0.1", handle.port,
-            timeout=timeout or self.config.proxy_timeout_s,
+            timeout=timeout or PROXY_TIMEOUT_S,
         )
         try:
             headers = {}

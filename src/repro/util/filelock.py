@@ -1,13 +1,13 @@
 """Advisory cross-process file locks for the shared disk tiers.
 
-The sharded service runs N worker processes over one cache directory, so
-the write-through stores (:mod:`repro.pipeline.persist`,
-:mod:`repro.service.mapcache`) need mutual exclusion around their
-read-merge-replace cycles.  :class:`FileLock` wraps ``fcntl.flock`` on an
-adjacent ``*.lock`` file — the lock file is never deleted, so there is no
-unlink race, and the kernel drops the lock automatically if the holder is
-SIGKILLed (which is exactly the fault-injection scenario the service
-tests exercise: a killed worker must never leave the store wedged).
+Service workers and concurrent experiment runs share one cache
+directory, so the write-through :class:`repro.util.store.JsonStore`
+needs mutual exclusion around its read-merge-replace cycles.
+:class:`FileLock` wraps ``fcntl.flock`` on an adjacent ``*.lock`` file —
+the lock file is never deleted, so there is no unlink race, and the
+kernel drops the lock automatically if the holder is SIGKILLed (which
+is exactly the fault-injection scenario the service tests exercise: a
+killed worker must never leave the store wedged).
 
 On platforms without :mod:`fcntl` the lock degrades to ``O_EXCL``
 create-spin with stale-lock breaking; single-host POSIX is the supported

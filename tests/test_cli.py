@@ -169,3 +169,27 @@ class TestTopo:
             ["map", program_file, "--machine", f"sysfs:{UNICORE_TAR}"]
         ) == 0
         assert "core" in capsys.readouterr().out
+
+
+class TestCache:
+    def test_info_lists_every_tier_then_clear_empties_it(self, tmp_path, capsys):
+        from repro.experiments.cache import code_fingerprint
+        from repro.util.store import NAMESPACES, JsonStore
+
+        for namespace in NAMESPACES:
+            JsonStore(str(tmp_path), namespace, code_fingerprint()).put(("k",), 1)
+        (tmp_path / f"plans-{code_fingerprint()[:12]}.json.99.tmp").write_text("")
+
+        assert main(["cache", "info", "--dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        table = [[cell.strip() for cell in line.split("|")] for line in lines]
+        assert table[0] == ["tier", "file", "entries", "size", "fingerprint"]
+        rows = table[2:]
+        assert [row[0] for row in rows] == ["mappings", "plans", "results"]
+        assert all(row[2] == "1" and row[4] == "current" for row in rows)
+
+        assert main(["cache", "clear", "--dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("removed 4 cache file(s)")
+        assert main(["cache", "info", "--dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("no cache files in")
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".lock"] * 3
