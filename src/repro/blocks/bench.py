@@ -71,7 +71,7 @@ def run(
             "events": events,
             "groups": groups,
             "budget_ms": round(budget_ms, 3),
-            "speedup": round(budget_ms / ms, 3) if ms else 0.0,
+            "speedup": round(budget_ms / ms, 4) if ms else 0.0,
         })
     return {
         "suite": "tagging",

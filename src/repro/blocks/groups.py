@@ -17,6 +17,7 @@ import itertools
 import threading
 from collections.abc import Iterator, Sequence
 
+from repro import kernels
 from repro.errors import BlockingError
 from repro.blocks.datablocks import DataBlockPartition
 from repro.blocks.tags import render
@@ -134,6 +135,34 @@ class IterationGroup:
         return f"IterationGroup(tag={bin(self.tag)}, size={self.size})"
 
 
+def check_exact_cover(
+    nest: LoopNest, points: list, error: type[Exception], twice: str, mismatch: str
+) -> str:
+    """Raise ``error`` unless ``points`` hold each iteration of K exactly once.
+
+    ``twice`` formats the repeated point, ``mismatch`` the counts ``seen``,
+    ``space``, ``missing`` and ``extra``.  A box K with NumPy present first
+    takes the vectorized check, which can only accept.  Returns the path
+    that decided: ``"numpy"`` or ``"set"``.
+    """
+    box = nest.space.box_ranges()
+    if box is not None and kernels.have_numpy():
+        from repro.kernels.cover import box_cover_exact
+
+        if box_cover_exact(box, points):
+            return "numpy"
+    seen: set[tuple[int, ...]] = set()
+    for point in points:
+        if point in seen:
+            raise error(twice.format(point))
+        seen.add(point)
+    space = set(nest.iterations())
+    if seen != space:
+        missing, extra = len(space - seen), len(seen - space)
+        raise error(mismatch.format(seen=len(seen), space=len(space), missing=missing, extra=extra))
+    return "set"
+
+
 class GroupSet:
     """The tagging result for one nest: groups plus provenance."""
 
@@ -168,19 +197,11 @@ class GroupSet:
           we check the iterations directly);
         * the union of the groups is exactly the nest's iteration space.
         """
-        seen: set[tuple[int, ...]] = set()
-        for group in self.groups:
-            for point in group.iterations:
-                if point in seen:
-                    raise BlockingError(f"iteration {point} appears in two groups")
-                seen.add(point)
-        space = set(self.nest.iterations())
-        if seen != space:
-            missing = space - seen
-            extra = seen - space
-            raise BlockingError(
-                f"groups do not partition K: {len(missing)} missing, {len(extra)} extra"
-            )
+        check_exact_cover(
+            self.nest, [p for g in self.groups for p in g.iterations], BlockingError,
+            "iteration {} appears in two groups",
+            "groups do not partition K: {missing} missing, {extra} extra",
+        )
         tags = [g.tag for g in self.groups]
         if len(set(tags)) != len(tags):
             # Same-tag groups only arise from load-balancing splits, which

@@ -118,7 +118,7 @@ def bench_tagging(name: str, n: int, block_size: int, repeats: int = 5) -> dict:
         "groups": len(scalar),
         "python_ms": round(python_s * 1e3, 3),
         "numpy_ms": round(numpy_s * 1e3, 3),
-        "speedup": round(python_s / numpy_s, 2),
+        "speedup": round(python_s / numpy_s, 4),
     }
 
 
@@ -149,7 +149,7 @@ def bench_affinity(name: str, n: int, block_size: int, repeats: int = 5) -> dict
         "num_blocks": partition.num_blocks,
         "python_ms": round(python_s * 1e3, 3),
         "numpy_ms": round(numpy_s * 1e3, 3),
-        "speedup": round(python_s / numpy_s, 2),
+        "speedup": round(python_s / numpy_s, 4),
     }
 
 
@@ -176,7 +176,7 @@ def bench_clustering(name: str, n: int, block_size: int, k: int = 4, repeats: in
         "clusters": k,
         "python_ms": round(python_s * 1e3, 3),
         "numpy_ms": round(numpy_s * 1e3, 3),
-        "speedup": round(python_s / numpy_s, 2),
+        "speedup": round(python_s / numpy_s, 4),
     }
 
 

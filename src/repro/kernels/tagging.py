@@ -40,21 +40,12 @@ def iteration_grid(nest: LoopNest) -> "np.ndarray | None":
     variable (non-rectangular space) — those nests enumerate through the
     exact scalar path instead.  An empty space yields a ``(0, d)`` grid.
     """
-    dims = nest.space.dims
-    if not dims:
+    ranges = nest.space.box_ranges()
+    if ranges is None:
         return None
-    ranges: list[tuple[int, int]] = []
-    for level in nest.space.level_bounds():
-        bounds = level.lowers + level.uppers + level.equalities
-        if any(expr.variables() for _, expr in bounds):
-            return None
-        rng = level.range_for({})
-        if rng is None or rng[0] > rng[1]:
-            return np.empty((0, len(dims)), dtype=np.int64)
-        ranges.append(rng)
     axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges]
     grid = np.meshgrid(*axes, indexing="ij")
-    return np.stack(grid, axis=-1).reshape(-1, len(dims))
+    return np.stack(grid, axis=-1).reshape(-1, len(ranges))
 
 
 def tag_iterations_numpy(

@@ -17,6 +17,7 @@ across cores and ordered within a core:
 
 from __future__ import annotations
 
+from repro import obs
 from repro.errors import MappingError
 from repro.blocks.datablocks import DataBlockPartition
 from repro.blocks.groups import IterationGroup
@@ -47,8 +48,9 @@ def chunk_iterations(
 
 def base_plan(nest: LoopNest, machine: Machine) -> ExecutablePlan:
     """Base: block distribution, original intra-core order, no barriers."""
-    chunks = chunk_iterations(nest, machine.num_cores)
-    rounds = tuple((tuple(chunk),) for chunk in chunks)
+    with obs.span("plan.base", nest=nest.name, cores=machine.num_cores):
+        chunks = chunk_iterations(nest, machine.num_cores)
+        rounds = tuple((tuple(chunk),) for chunk in chunks)
     return ExecutablePlan(machine, nest, rounds, "base")
 
 

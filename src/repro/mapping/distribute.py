@@ -28,9 +28,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.errors import MappingError
 from repro.blocks.datablocks import DataBlockPartition
-from repro.blocks.groups import GroupSet, IterationGroup
+from repro.blocks.groups import GroupSet, IterationGroup, check_exact_cover
 from repro.ir.loops import LoopNest, Program
 from repro.mapping.dependence import GroupDependenceGraph
 from repro.topology.tree import Machine
@@ -62,18 +63,14 @@ class ExecutablePlan:
 
     def verify_complete(self) -> None:
         """Every iteration of K exactly once across all cores."""
-        seen: set[tuple[int, ...]] = set()
-        for core_rounds in self.rounds:
-            for rnd in core_rounds:
-                for point in rnd:
-                    if point in seen:
-                        raise MappingError(f"iteration {point} scheduled twice")
-                    seen.add(point)
-        space = set(self.nest.iterations())
-        if seen != space:
-            raise MappingError(
-                f"plan covers {len(seen)} iterations, space has {len(space)}"
+        with obs.span("plan.verify", nest=self.nest.name) as sp:
+            path = check_exact_cover(
+                self.nest,
+                [p for core_rounds in self.rounds for rnd in core_rounds for p in rnd],
+                MappingError, "iteration {} scheduled twice",
+                "plan covers {seen} iterations, space has {space}",
             )
+            sp.tag(path=path)
 
     @staticmethod
     def from_group_rounds(

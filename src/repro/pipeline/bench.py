@@ -143,7 +143,7 @@ def bench_sweep(name: str, program, block_size: int, repeats: int = 1) -> dict:
         "knob_points": len(KNOB_POINTS),
         "cold_ms": round(cold_s * 1e3, 3),
         "warm_ms": round(warm_s * 1e3, 3),
-        "speedup": round(cold_s / warm_s, 2),
+        "speedup": round(cold_s / warm_s, 4),
     }
 
 

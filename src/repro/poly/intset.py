@@ -21,6 +21,7 @@ use in this library.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -243,33 +244,77 @@ class IntSet:
         object.__setattr__(self, "_levels", result)
         return result
 
+    def box_ranges(self) -> list[tuple[int, int]] | None:
+        """Per-dimension ``(lo, hi)`` when the set is a constant box.
+
+        Returns ``None`` when some level bound mentions an outer dimension
+        (or the set has no dimensions).  Levels are read outermost first
+        and the scan stops at the first empty one, exactly as the
+        :meth:`points` sweep does: an empty set comes back as all-empty
+        ranges ``(0, -1)`` whatever its inner levels say, and the scan
+        raises :class:`UnboundedSetError` only where the sweep would.
+        """
+        if not self.dims:
+            return None
+        ranges: list[tuple[int, int]] = []
+        for level in self.level_bounds():
+            bounds = level.lowers + level.uppers + level.equalities
+            if any(expr.variables() for _, expr in bounds):
+                return None
+            rng = level.range_for({})
+            if rng is None or rng[0] > rng[1]:
+                return [(0, -1)] * len(self.dims)
+            ranges.append(rng)
+        return ranges
+
     def points(self) -> Iterator[tuple[int, ...]]:
         """Enumerate integer points in lexicographic order of ``dims``.
 
-        Raises :class:`UnboundedSetError` if the set is unbounded in any
-        dimension reachable during the sweep.
+        The iterator raises :class:`UnboundedSetError` (on first use) if
+        the set is unbounded in any dimension reachable during the sweep.
         """
         if not self.dims:
-            if all(c.satisfied_by({}) for c in self.constraints):
-                yield ()
-            return
-        levels = self.level_bounds()
+            satisfied = all(c.satisfied_by({}) for c in self.constraints)
+            return iter([()] if satisfied else [])
+        try:
+            box = self.box_ranges()
+        except UnboundedSetError:
+            box = None  # the sweep raises it again, lazily
+        if box is not None:
+            return itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+        # ``zip`` makes 1-tuples and ``prefix.__add__`` extends them, so each
+        # innermost range is emitted at C speed.
+        return itertools.chain.from_iterable(
+            map(prefix.__add__, zip(range(lo, hi + 1)))
+            for prefix, lo, hi in self._innermost_ranges()
+        )
 
-        def rec(k: int, env: dict[str, int], prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if k == len(levels):
-                yield prefix
-                return
+    def _innermost_ranges(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """``(prefix, lo, hi)`` per non-empty innermost range, in lex order.
+
+        Sweeps the outer ``d - 1`` levels only; the innermost level is
+        evaluated once per prefix, never walked point by point.
+        """
+        levels = self.level_bounds()
+        last = len(levels) - 1
+        env: dict[str, int] = {}
+
+        def rec(k: int, prefix: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int, int]]:
             rng = levels[k].range_for(env)
             if rng is None:
                 return
             lo, hi = rng
+            if k == last:
+                if lo <= hi:
+                    yield prefix, lo, hi
+                return
             name = levels[k].dim
             for value in range(lo, hi + 1):
                 env[name] = value
-                yield from rec(k + 1, env, prefix + (value,))
+                yield from rec(k + 1, prefix + (value,))
             env.pop(name, None)
 
-        yield from rec(0, {}, ())
+        return rec(0, ())
 
     def first_point(self) -> tuple[int, ...]:
         """Lexicographically smallest point; raises if the set is empty."""
@@ -289,8 +334,17 @@ class IntSet:
         return self._empty_cache
 
     def count(self) -> int:
-        """Number of integer points (enumerates; requires boundedness)."""
-        return sum(1 for _ in self.points())
+        """Number of integer points, without enumerating them.
+
+        A box multiplies its extents; any other set sweeps its outer levels
+        and adds the length of each innermost range.  Requires boundedness.
+        """
+        box = self.box_ranges()
+        if box is not None:
+            return math.prod(hi - lo + 1 for lo, hi in box)
+        if not self.dims:
+            return len(list(self.points()))
+        return sum(hi - lo + 1 for _, lo, hi in self._innermost_ranges())
 
     def bounding_box(self) -> list[tuple[int, int]]:
         """Per-dimension (lo, hi) ranges from the rational shadow.
@@ -312,8 +366,7 @@ class IntSet:
     def is_bounded(self) -> bool:
         """True if lexicographic enumeration never hits an unbounded level."""
         try:
-            for _, __ in zip(self.points(), itertools.count()):
-                pass
+            self.count()
             return True
         except UnboundedSetError:
             return False

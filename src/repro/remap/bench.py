@@ -174,7 +174,7 @@ def _account(entry: dict, program, outcomes) -> dict:
         by_kind=dict(sorted(by_kind.items())),
         cold_ms=round(cold_s * 1e3, 3),
         remap_ms=round(remap_s * 1e3, 3),
-        speedup=round(cold_s / remap_s, 2) if remap_s else float("inf"),
+        speedup=round(cold_s / remap_s, 4) if remap_s else float("inf"),
         stages_replayed=replayed,
         stages_recomputed=recomputed,
         carried=carried,
@@ -231,7 +231,7 @@ def run_suite(stencil_n: int = DEFAULT_STENCIL_N,
             "events": sum(e["events"] for e in entries),
             "cold_ms": round(cold_ms, 3),
             "remap_ms": round(remap_ms, 3),
-            "speedup": round(cold_ms / remap_ms, 2) if remap_ms else 0.0,
+            "speedup": round(cold_ms / remap_ms, 4) if remap_ms else 0.0,
         },
     }
 

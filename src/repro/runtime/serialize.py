@@ -21,6 +21,7 @@ content key for caching.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 from repro.errors import IRError, SimulationError
@@ -200,6 +201,15 @@ def plan_from_json(
         tuple(tuple(tuple(point) for point in rnd) for rnd in core_rounds)
         for core_rounds in payload["rounds"]
     )
+    # Exactly ``int``: a float or bool coordinate equals an int in a set,
+    # so the cover check would pass it on to the simulator.
+    kinds = {int}
+    for core_rounds in rounds:
+        for rnd in core_rounds:
+            kinds.update(map(type, itertools.chain.from_iterable(rnd)))
+    if kinds != {int}:
+        names = sorted(kind.__name__ for kind in kinds - {int})
+        raise SimulationError(f"plan coordinates must be int, got {names}")
     plan = ExecutablePlan(machine, nest, rounds, payload["label"])
     plan.verify_complete()
     return plan

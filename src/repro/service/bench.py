@@ -372,7 +372,7 @@ def run_benchmark(config: BenchConfig | None = None, *,
         single, shard = report["runs"]
         if single["throughput_rps"] > 0:
             report["speedup"] = round(
-                shard["throughput_rps"] / single["throughput_rps"], 2
+                shard["throughput_rps"] / single["throughput_rps"], 4
             )
     return report
 

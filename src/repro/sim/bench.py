@@ -105,7 +105,7 @@ def bench_sim(machine_name: str, quantum: int, n: int = DEFAULT_N,
         "cycles": oracle.cycles,
         "python_ms": round(python_s * 1e3, 3),
         "numpy_ms": round(numpy_s * 1e3, 3),
-        "speedup": round(python_s / numpy_s, 2),
+        "speedup": round(python_s / numpy_s, 4),
     }
 
 

@@ -57,7 +57,7 @@ def run(budget_ms: float = DEFAULT_BUDGET_MS, repeats: int = DEFAULT_REPEATS) ->
             "fixture": name,
             "ms": round(ms, 3),
             "budget_ms": budget_ms,
-            "speedup": round(budget_ms / ms, 3) if ms else 0.0,
+            "speedup": round(budget_ms / ms, 4) if ms else 0.0,
         })
     largest = max(entries_out, key=lambda e: e["ms"], default=None)
     return {

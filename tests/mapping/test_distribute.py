@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import kernels, obs
 from repro.errors import MappingError
 from repro.mapping.distribute import ExecutablePlan, TopologyAwareMapper
+from repro.obs.sinks import CollectorSink
 
 
 class TestMapper:
@@ -95,6 +97,48 @@ class TestExecutablePlan:
         plan = self.make_plan(fig5_program, fig9_machine)
         rounds = ((plan.rounds[0][0][1:],),) + plan.rounds[1:]
         bad = ExecutablePlan(plan.machine, plan.nest, rounds, "bad")
+        with pytest.raises(MappingError):
+            bad.verify_complete()
+
+    @pytest.fixture(params=["numpy", "set"])
+    def cover_path(self, request, monkeypatch):
+        """Run the test on the vectorized check and on the set check."""
+        if request.param == "set":
+            monkeypatch.setattr(kernels, "have_numpy", lambda: False)
+        elif not kernels.have_numpy():
+            pytest.skip("numpy is not importable")
+        return request.param
+
+    @pytest.fixture
+    def stencil_plan(self, stencil_program, fig9_machine):
+        mapper = TopologyAwareMapper(fig9_machine, block_size=64)
+        return mapper.map_nest(stencil_program, stencil_program.nests[0]).plan()
+
+    def test_verify_reports_path(self, stencil_plan, cover_path):
+        sink = CollectorSink()
+        with obs.tracing(sink):
+            stencil_plan.verify_complete()
+        (span,) = [s for s in sink.spans() if s["name"] == "plan.verify"]
+        assert span["tags"]["path"] == cover_path
+
+    @pytest.mark.parametrize(
+        "swap",
+        [
+            lambda i, j: (i - 1, j + 24),  # off the 24x24 box, same linear index
+            lambda i, j: (i, j, 1),  # wrong arity
+            lambda i, j: (i + 0.5, j),  # float: int64 conversion truncates it to (i, j)
+            lambda i, j: (True, 1),  # bool: equals (1, 1), which is also scheduled
+            lambda i, j: (2**63 + i, j),  # beyond int64
+        ],
+        ids=["out-of-box", "arity", "float", "bool", "int64-overflow"],
+    )
+    def test_verify_rejects_swapped_point(self, stencil_plan, cover_path, swap):
+        plan = stencil_plan
+        first, *rest = plan.rounds[0][0]
+        assert first != (1, 1)
+        rounds = (((swap(*first), *rest),) + plan.rounds[0][1:],) + plan.rounds[1:]
+        bad = ExecutablePlan(plan.machine, plan.nest, rounds, "bad")
+        assert bad.total_iterations() == plan.total_iterations()
         with pytest.raises(MappingError):
             bad.verify_complete()
 

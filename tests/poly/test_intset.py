@@ -109,6 +109,34 @@ class TestEnumeration:
         with pytest.raises(UnboundedSetError):
             list(s.points())
 
+    def test_unbounded_inner_behind_empty_outer(self):
+        # The sweep never reaches j, so neither enumeration nor count raises.
+        s = IntSet(["i", "j"], [Constraint.ge(i, 1), Constraint.le(i, 0), Constraint.ge(j, 0)])
+        assert list(s.points()) == []
+        assert s.count() == 0
+
+    def test_unbounded_raises_lazily(self):
+        for s in (
+            IntSet(["i"], [Constraint.ge(i, 0)]),
+            IntSet(["i", "j"], [Constraint.ge(i, 0), Constraint.le(i, 3), Constraint.ge(j, i)]),
+        ):
+            points = s.points()
+            with pytest.raises(UnboundedSetError):
+                next(points)
+            with pytest.raises(UnboundedSetError):
+                s.count()
+
+    def test_box_ranges(self):
+        assert IntSet.box(["i", "j"], [(0, 3), (-2, 5)]).box_ranges() == [(0, 3), (-2, 5)]
+        assert IntSet(["i"], [Constraint.eq(i, 7)]).box_ranges() == [(7, 7)]
+        assert triangle().box_ranges() is None
+        assert IntSet.empty(["i", "j"]).box_ranges() == [(0, -1), (0, -1)]
+        assert IntSet.universe([]).box_ranges() is None
+
+    def test_count_is_closed_form(self):
+        assert IntSet.box(["i", "j", "k"], [(0, 9999)] * 3).count() == 10**12
+        assert triangle(10**4).count() == (10**4 + 1) * (10**4 + 2) // 2
+
     def test_first_point(self):
         assert triangle().first_point() == (0, 0)
 

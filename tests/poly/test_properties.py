@@ -14,26 +14,45 @@ consts = st.integers(min_value=-10, max_value=10)
 
 
 @st.composite
-def affine_exprs(draw):
+def affine_exprs(draw, dims=VARS):
     return AffineExpr(
-        {v: draw(coeffs) for v in VARS},
+        {v: draw(coeffs) for v in dims},
         draw(consts),
     )
 
 
 @st.composite
-def bounded_sets(draw):
-    """A box over (i, j) intersected with up to 3 random constraints."""
+def bounded_sets(draw, dims=VARS):
+    """A box over ``dims`` intersected with up to 3 random constraints."""
     ranges = [
-        (draw(st.integers(-5, 0)), draw(st.integers(1, 6))) for _ in VARS
+        (draw(st.integers(-5, 0)), draw(st.integers(1, 6))) for _ in dims
     ]
-    base = IntSet.box(list(VARS), ranges)
+    base = IntSet.box(list(dims), ranges)
     extra = []
     for _ in range(draw(st.integers(0, 3))):
-        expr = draw(affine_exprs())
+        expr = draw(affine_exprs(dims))
         kind = draw(st.sampled_from([Constraint.GE, Constraint.EQ]))
         extra.append(Constraint(expr, kind))
     return base.with_constraints(extra)
+
+
+def reference_points(s):
+    """The point-at-a-time recursive sweep: the enumeration oracle."""
+    levels = s.level_bounds()
+
+    def rec(k, env, prefix):
+        if k == len(levels):
+            yield prefix
+            return
+        rng = levels[k].range_for(env)
+        if rng is None:
+            return
+        for value in range(rng[0], rng[1] + 1):
+            env[levels[k].dim] = value
+            yield from rec(k + 1, env, prefix + (value,))
+        env.pop(levels[k].dim, None)
+
+    return rec(0, {}, ())
 
 
 class TestAffineAlgebra:
@@ -65,10 +84,19 @@ class TestSetSemantics:
     @given(bounded_sets())
     def test_enumeration_matches_membership(self, s):
         """Every enumerated point is a member; brute force agrees."""
-        pts = set(s.points())
+        pts = list(s.points())
         box = IntSet.box(list(VARS), [(-5, 6), (-5, 6)])
         brute = {p for p in box.points() if s.contains(p)}
-        assert pts == brute
+        assert set(pts) == brute
+        assert s.count() == len(pts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(bounded_sets(), bounded_sets(("i", "j", "k"))))
+    def test_enumeration_matches_reference_sweep(self, s):
+        """Same points in the same order as the recursive sweep."""
+        pts = list(s.points())
+        assert pts == list(reference_points(s))
+        assert s.count() == len(pts)
 
     @settings(max_examples=60, deadline=None)
     @given(bounded_sets())

@@ -54,6 +54,19 @@ class TestValidation:
         with pytest.raises(Exception):
             plan_from_json(json.dumps(payload), fig5_program, fig9_machine)
 
+    @pytest.mark.parametrize("retype", [float, bool], ids=["float", "bool"])
+    def test_non_int_coordinate_rejected(self, stencil_program, fig9_machine, retype):
+        # The retyped coordinate still equals the int it replaces, so a
+        # set-based cover check passes it; the decoder must refuse it.
+        mapper = TopologyAwareMapper(fig9_machine, block_size=64)
+        plan = mapper.map_nest(stencil_program, stencil_program.nests[0]).plan()
+        payload = json.loads(plan_to_json(plan))
+        points = (p for core in payload["rounds"] for rnd in core for p in rnd)
+        point = next(p for p in points if p[0] == 1)
+        point[0] = retype(point[0])
+        with pytest.raises(SimulationError, match="must be int"):
+            plan_from_json(json.dumps(payload), stencil_program, fig9_machine)
+
 
 class TestResultDict:
     def test_flattens(self, plan):
