@@ -32,8 +32,8 @@ modification.
 Observability: trace-path selections emit ``tagging.trace.*`` counters —
 ``tagging.trace.nests`` (selections), ``tagging.trace.declined_affine``
 (non-affine references that made the static path decline),
-``tagging.trace.events`` (recorded trace length) — plus the standard
-``kernels.fallback.non-affine`` fallback reason.
+``tagging.trace.events`` (recorded trace length).  Trace tagging is the
+designed path for irregular nests, so it raises no fallback warning.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.blocks.datablocks import DataBlockPartition
 from repro.blocks.groups import GroupSet, IterationGroup
 from repro.errors import BlockingError
 from repro.ir.loops import LoopNest
-from repro.kernels import note_fallback
 
 #: Upper bound on recorded trace events (iterations x references).  Keeps
 #: the fallback's cost predictable; nests beyond it must raise their block
@@ -183,7 +182,6 @@ class TraceAnalysis(AccessAnalysis):
             obs.count("tagging.trace.events", events)
             if declined:
                 obs.count("tagging.trace.declined_affine", declined)
-                note_fallback("non-affine", "tagging")
             return result
 
 

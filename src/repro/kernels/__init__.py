@@ -54,10 +54,6 @@ FALLBACK_REASONS = {
     "no-numpy": "NumPy is not importable; the scalar reference backend is used",
     "lane-budget": "tag width exceeds the packed uint64 lane budget",
     "non-rectangular": "iteration space has loop-variant bounds",
-    "non-affine": (
-        "nest has indirect (non-affine) accesses; affine analysis declined "
-        "and the trace-based tagging path is used"
-    ),
     "sim-unresolved": (
         "batched LRU filter pass left too much unresolved reuse work; "
         "the scalar level loop is used for this stream"

@@ -28,9 +28,8 @@ Layout:
 * :mod:`repro.pipeline.store` — the in-process LRU artifact store;
 * :mod:`repro.pipeline.persist` — the optional persistent plan tier
   (same content-fingerprint discipline as :mod:`repro.experiments.cache`);
-* :mod:`repro.pipeline.core` — the stages and the driver;
-* :mod:`repro.pipeline.bench` — the cold-vs-warm sweep benchmark
-  (``BENCH_pipeline.json``).
+* :mod:`repro.pipeline.core` — the stages and :class:`MappingPipeline`,
+  which runs them.
 
 See ``docs/ARCHITECTURE.md`` for the full diagram.
 """

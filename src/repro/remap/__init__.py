@@ -13,8 +13,7 @@ recomputing only the dirtied suffix.  An
 events.
 
 Every remapped plan is bit-identical to a cold map of the post-event
-state; the differential suite and the :mod:`repro.remap.bench` harness
-(``BENCH_remap.json``) both pin that while measuring the latency win.
+state; ``tests/remap/test_differential.py`` pins that.
 
 The service exposes the same machinery per-request via ``POST /remap``
 (see :mod:`repro.service`), and the CLI as ``repro remap``.

@@ -24,8 +24,8 @@ so the two event families invalidate differently:
 
 Either way the replayed artifacts are byte-identical to what a cold map
 of the post-event state would compute, so every remapped plan is
-bit-identical to a cold plan — ``tests/remap/test_differential.py`` and
-the in-bench assertion of :mod:`repro.remap.bench` pin that.
+bit-identical to a cold plan — ``tests/remap/test_differential.py``
+pins that.
 """
 
 from __future__ import annotations

@@ -16,8 +16,7 @@ with nothing beyond the standard library:
 * :mod:`repro.service.hashring` — consistent hashing for shard routing;
 * :mod:`repro.service.shard` — the multi-process sharded mode
   (``repro serve --workers N``): front router, forked workers,
-  health-checked restarts, aggregated stats;
-* :mod:`repro.service.bench` — the load benchmark (``BENCH_service.json``).
+  health-checked restarts, aggregated stats.
 
 Quick start::
 

@@ -590,8 +590,7 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
     """The daemon's listener with a burst-proof accept backlog.
 
     The stdlib default (``request_queue_size = 5``) resets connections
-    when more than a handful of clients connect in the same instant —
-    real under the load benchmark's thread pool.
+    when more than a handful of clients connect in the same instant.
     """
 
     request_queue_size = 128
@@ -682,7 +681,10 @@ def _make_handler(service: MappingService):
             from repro.service.protocol import BadRequest
 
             try:
-                length = int(self.headers.get("Content-Length", 0))
+                try:
+                    length = int(self.headers.get("Content-Length", 0))
+                except ValueError:
+                    raise BadRequest("malformed Content-Length header") from None
                 if length <= 0:
                     raise BadRequest("empty request body")
                 if length > MAX_BODY_BYTES:

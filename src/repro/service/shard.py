@@ -757,7 +757,11 @@ def _make_router_handler(service: ShardService):
                 self._send(404, _error_body(f"no route {path!r}"))
                 return
             try:
-                length = int(self.headers.get("Content-Length", 0))
+                try:
+                    length = int(self.headers.get("Content-Length", 0))
+                except ValueError:
+                    self._send(400, _error_body("malformed Content-Length header"))
+                    return
                 if length <= 0:
                     self._send(400, _error_body("empty request body"))
                     return

@@ -10,6 +10,16 @@ from repro.topology.cache import CacheSpec
 from repro.topology.tree import Machine, TopologyNode
 
 
+def bench_machine(cores: int = 8) -> Machine:
+    """A ``cores``-core, three-level tree (private L1s, paired L2s, one L3)."""
+    l1 = CacheSpec("L1", 1024, 2, 32, 2)
+    l2 = CacheSpec("L2", 4096, 4, 32, 8)
+    l3 = CacheSpec("L3", 16384, 8, 32, 20)
+    leaves = [TopologyNode.cache(l1, [TopologyNode.core(i)]) for i in range(cores)]
+    l2s = [TopologyNode.cache(l2, leaves[i : i + 2]) for i in range(0, cores, 2)]
+    return Machine(f"bench{cores}", 2.0, 100, TopologyNode.cache(l3, l2s), sockets=1)
+
+
 @pytest.fixture(autouse=True)
 def _reset_group_idents():
     """Start every test with a fresh ident sequence.

@@ -7,7 +7,8 @@ from repro.blocks.groups import IterationGroup
 from repro.errors import MappingError
 from repro.mapping.balance import Cluster, balance_to_targets
 from repro.mapping.clustering import cluster_weighted, hierarchical_distribute
-from repro.pipeline.bench import bench_machine
+
+from tests.conftest import bench_machine
 
 
 def group(tag, size=4, start=0):

@@ -15,6 +15,8 @@ from repro import obs
 from repro.obs.sinks import CollectorSink
 from repro.pipeline import ArtifactStore, Knobs, MappingPipeline
 
+from tests.conftest import bench_machine
+
 STAGES = ("blocksize", "tagging", "dependence", "distribute", "schedule")
 
 
@@ -223,8 +225,7 @@ class TestEpochInvalidation:
 @pytest.mark.perf_smoke
 class TestWarmFasterSmoke:
     def test_warm_rerun_skips_compute(self, fig9_machine, fig5_program):
-        """Structure check for the perf benchmark: a warm α/β point
-        computes only the scheduling stage."""
+        """A warm α/β point computes only the scheduling stage."""
         store = ArtifactStore()
         base = Knobs(block_size=32, local_scheduling=True)
         counters_for_run(fig9_machine, base, store, fig5_program)
@@ -233,3 +234,60 @@ class TestWarmFasterSmoke:
         )
         assert counters["pipeline.stage_hits"] == 4
         assert counters["pipeline.stage_misses"] == 1
+
+
+#: (alpha, beta, balance_threshold): six α/β points that share every
+#: stage up to scheduling, then two balance points that share only up
+#: to dependence.
+SWEEP = (
+    (0.5, 0.5, 0.10),
+    (0.3, 0.7, 0.10),
+    (0.7, 0.3, 0.10),
+    (0.1, 0.9, 0.10),
+    (0.9, 0.1, 0.10),
+    (0.2, 0.8, 0.10),
+    (0.5, 0.5, 0.05),
+    (0.3, 0.7, 0.05),
+)
+
+
+class TestSharedStoreSweep:
+    @pytest.mark.parametrize(
+        "fixture, block_size", [("dependent_program", 32), ("stencil_program", 64)]
+    )
+    def test_sweep_through_one_store_equals_cold(self, request, fixture, block_size):
+        """Every point of a knob sweep replayed through one shared store
+        yields the plan a store-less pipeline computes for it."""
+        program = request.getfixturevalue(fixture)
+        nest = program.nests[0]
+        machine = bench_machine(8)
+
+        def sweep(store):
+            return [
+                MappingPipeline(
+                    machine,
+                    Knobs(
+                        block_size=block_size,
+                        balance_threshold=balance,
+                        alpha=alpha,
+                        beta=beta,
+                        local_scheduling=True,
+                    ),
+                    store=store,
+                )
+                .map_nest(program, nest)
+                .plan()
+                .rounds
+                for alpha, beta, balance in SWEEP
+            ]
+
+        cold = sweep(None)
+        col = CollectorSink()
+        with obs.tracing(col):
+            warm = sweep(ArtifactStore(capacity=64))
+        assert warm == cold
+        # 5 misses for the first point, 1 per later α/β point, 2 for the
+        # first balance point and 1 for the last.
+        counters = col.summary()["counters"]
+        assert counters["pipeline.stage_misses"] == 13
+        assert counters["pipeline.stage_hits"] == 27

@@ -6,8 +6,9 @@ from __future__ import annotations
 import pytest
 
 from repro.lang import compile_source
-from repro.pipeline.bench import bench_machine
 from repro.pipeline.knobs import Knobs
+
+from tests.conftest import bench_machine
 
 STENCIL_SOURCE = """
 array U[14][14];

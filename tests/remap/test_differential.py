@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.pipeline.bench import bench_machine
+from repro.lang import compile_source
+from repro.pipeline.knobs import Knobs
 from repro.remap.core import Remapper, cold_plan
 from repro.remap.events import (
     CoreHotplug,
@@ -18,6 +19,10 @@ from repro.remap.events import (
     PhaseChange,
     TopologyEdit,
 )
+from repro.remap.watch import ExecutionWatcher
+from repro.sim.dynamic import BehaviorModel, CoreEvent, PhaseSpec
+
+from tests.conftest import bench_machine
 
 HISTORIES = {
     "phase_only": [
@@ -50,17 +55,22 @@ HISTORIES = {
 }
 
 
+def _assert_matches_cold(program, outcome):
+    for name in outcome.affected:
+        nest = next(n for n in program.nests if n.name == name)
+        cold = cold_plan(program, nest, outcome.machine, outcome.knobs[name])
+        assert cold.rounds == outcome.plans[name].rounds, (
+            f"remap diverged from cold map after {outcome.kind}"
+        )
+        assert cold.label == outcome.plans[name].label
+
+
 def _check_history(program, machine, knobs, events):
     remapper = Remapper(program, machine, knobs=knobs)
-    for event in events:
-        outcome = remapper.apply(event)
-        for name in outcome.affected:
-            nest = next(n for n in program.nests if n.name == name)
-            cold = cold_plan(program, nest, outcome.machine, outcome.knobs[name])
-            assert cold.rounds == outcome.plans[name].rounds, (
-                f"remap diverged from cold map after {outcome.kind}"
-            )
-            assert cold.label == outcome.plans[name].label
+    outcomes = [remapper.apply(event) for event in events]
+    for outcome in outcomes:
+        _assert_matches_cold(program, outcome)
+    return outcomes
 
 
 @pytest.mark.parametrize("history", sorted(HISTORIES))
@@ -89,3 +99,77 @@ def test_unpinned_block_size_across_l1_change(stencil_program, machine):
     nest = next(n for n in stencil_program.nests if n.name == name)
     cold = cold_plan(stencil_program, nest, edited, knobs)
     assert cold.rounds == outcome.plans[name].rounds
+
+
+def revisit_schedule(machine):
+    """29 events that mostly revisit earlier states: three knob points
+    cycled, one core flapping, an edit to a 4-core machine and back."""
+    a, b, c = (
+        PhaseChange.of(alpha=0.8, beta=0.2),
+        PhaseChange.of(alpha=0.2, beta=0.8),
+        PhaseChange.of(alpha=0.5, beta=0.5),
+    )
+    lost = (machine.core_ids()[2],)
+    flap = [CoreLoss(lost), CoreHotplug(lost)]
+    edits = [TopologyEdit(bench_machine(4)), TopologyEdit(machine)]
+    return [
+        a, b, c, a, b, c, *flap, *flap, a, c, *edits, *edits, b, c,
+        *flap, *flap, a, b, c, *flap, a, c,
+    ]
+
+
+def flapping_model(program, machine):
+    """Two alternating phases over 48 steps; one core lost and restored
+    six times, each loss/restore pair inside a smooth phase."""
+    smooth = PhaseSpec("smooth", steps=3, imbalance=0.02, sharing=0.20)
+    hot = PhaseSpec("hot", steps=3, imbalance=0.50, sharing=0.70)
+    lost = (machine.core_ids()[1],)
+    core_events = tuple(
+        CoreEvent(step=step, kind=kind, cores=lost)
+        for loss in (7, 13, 19, 31, 37, 43)
+        for step, kind in ((loss, "loss"), (loss + 1, "hotplug"))
+    )
+    return BehaviorModel(
+        nest_name=program.nests[0].name,
+        machine=machine,
+        phases=(smooth, hot) * 8,
+        core_events=core_events,
+        seed=7,
+    )
+
+
+def _mostly_replayed(outcomes):
+    replayed = sum(o.stages_replayed for o in outcomes)
+    recomputed = sum(o.stages_recomputed for o in outcomes)
+    return replayed > 3 * recomputed
+
+
+def test_revisit_schedule_matches_cold(machine, knobs):
+    """Every post-event plan of a long revisit-heavy schedule over a
+    6x6 five-point stencil equals a cold map of that state."""
+    program = compile_source(
+        """
+        array U[8][8];
+        array V[8][8];
+        parallel for (i = 1; i <= 6; i++)
+          for (j = 1; j <= 6; j++)
+            V[i][j] = U[i][j] + U[i-1][j] + U[i+1][j] + U[i][j-1] + U[i][j+1];
+        """,
+        name="stencil6",
+    )
+    outcomes = _check_history(program, machine, knobs, revisit_schedule(machine))
+    assert _mostly_replayed(outcomes)
+
+
+def test_watched_model_matches_cold(banded_program, machine):
+    """Every remap the ExecutionWatcher derives from a BehaviorModel
+    stream over the banded loop equals a cold map of that state."""
+    knobs = Knobs(block_size=32, alpha=0.5, beta=0.5, local_scheduling=True)
+    remapper = Remapper(banded_program, machine, knobs=knobs)
+    outcomes = ExecutionWatcher(remapper).run(
+        flapping_model(banded_program, machine).samples()
+    )
+    assert {o.kind for o in outcomes} == {"phase_change", "core_loss", "core_hotplug"}
+    for outcome in outcomes:
+        _assert_matches_cold(banded_program, outcome)
+    assert _mostly_replayed(outcomes)

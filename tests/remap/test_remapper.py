@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import RemapError
-from repro.pipeline.bench import bench_machine
 from repro.pipeline.core import MappingPipeline
 from repro.pipeline.knobs import Knobs
 from repro.pipeline.store import ArtifactStore
@@ -16,6 +15,8 @@ from repro.remap.events import (
     PhaseChange,
     TopologyEdit,
 )
+
+from tests.conftest import bench_machine
 
 
 class TestTransitions:

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.pipeline.bench import bench_machine
 from repro.topology.machines import machine_by_name
+
+from tests.conftest import bench_machine
 
 
 class TestWithoutCores:
