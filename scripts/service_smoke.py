@@ -3,16 +3,18 @@
 Boots the real daemon as a subprocess, fires ~50 concurrent requests at
 it — a mix of cache hits, cache misses, and one past-deadline request —
 and then shuts it down with SIGTERM.  The run fails (exit 1) if any
-request gets a 5xx, if the past-deadline request is not degraded, or if
-the daemon does not drain and exit cleanly.  Latency percentiles and
-the daemon's own /stats snapshot are written as a JSON artifact for the
-CI run to upload.
+request gets a 5xx, if the past-deadline request is not degraded, if
+the daemon does not drain and exit cleanly, or if the plan in any
+distinct 200 body does not decode (``plan_from_json`` against the
+submitted program and the scaled machine, parsed the way the service
+parses them).  Latency percentiles, response sizes and the daemon's own
+/stats snapshot are written as a JSON artifact for the CI run to upload.
 
 With ``--cache-dir DIR`` the daemon runs with ``--persistent --cache-dir
 DIR``.  After the drain the script boots it again over the same
 directory and additionally fails unless a repeated request answers
-``cache: "disk"`` and ``repro cache info --dir DIR`` lists a ``plans``
-and a ``mappings`` file.
+``cache: "disk"`` with a plan that decodes, and ``repro cache info --dir
+DIR`` lists a ``plans`` and a ``mappings`` file.
 
 Usage:
     python scripts/service_smoke.py [--out service-smoke.json]
@@ -35,7 +37,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
 sys.path.insert(0, SRC)
 
+from repro.runtime.serialize import plan_from_json  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
+from repro.service.protocol import parse_request  # noqa: E402
 
 SOURCE_TEMPLATE = """\
 param m = {m};
@@ -94,7 +98,8 @@ def stderr_tail(proc, limit=4000):
 
 
 def fire(client, index, failures):
-    """One request; returns (label, status, elapsed_ms, cache_tier)."""
+    """One request; returns (label, status, elapsed_ms, cache_tier,
+    answer), where ``answer`` is ``(request payload, body)`` for a 200."""
     if index == 7:
         # The deliberate past-deadline request: must degrade, not fail.
         payload = {"source": VARIANTS[0], "machine": "nehalem",
@@ -109,13 +114,30 @@ def fire(client, index, failures):
     elapsed_ms = (time.perf_counter() - started) * 1e3
     if status >= 500:
         failures.append(f"request {index}: HTTP {status}: {body[:200]!r}")
-        return label, status, elapsed_ms, None
+        return label, status, elapsed_ms, None, None
     parsed = json.loads(body)
     if label == "deadline" and not parsed.get("degraded"):
         failures.append("past-deadline request was not degraded")
     if status == 200 and label == "mapped" and not parsed.get("ok"):
         failures.append(f"request {index}: ok=false: {parsed}")
-    return label, status, elapsed_ms, parsed.get("cache")
+    answer = (payload, body) if status == 200 else None
+    return label, status, elapsed_ms, parsed.get("cache"), answer
+
+
+def decode_plans(answers, failures):
+    """Decode the plan of every distinct 200 body against the program
+    and scaled machine its request named; returns how many decoded."""
+    decoded = 0
+    for body, payload in {body: payload for payload, body in answers}.items():
+        try:
+            request = parse_request(payload)
+            mapping = json.dumps(json.loads(body)["mapping"])
+            plan_from_json(mapping, request.program, request.machine)
+        except Exception as error:  # noqa: BLE001 - every failure is reported
+            failures.append(f"served plan does not decode: {type(error).__name__}: {error}")
+        else:
+            decoded += 1
+    return decoded
 
 
 def drain(proc, failures):
@@ -141,12 +163,13 @@ def check_restart(workers, daemon_args, cache_dir, failures):
         client.wait_ready(timeout=30)
         # Request 0 repeats one the first boot mapped; the router cache
         # and the worker LRU start empty, so only the disk can answer.
-        _label, _status, _ms, tier = fire(client, 0, failures)
+        _label, _status, _ms, tier, answer = fire(client, 0, failures)
     finally:
         exit_code = drain(proc, failures)
     if tier != "disk":
         failures.append(f"repeat after restart answered cache={tier!r}, "
                         "expected 'disk'")
+    decoded = decode_plans([answer] if answer else [], failures)
     listing = subprocess.run(
         [sys.executable, "-m", "repro", "cache", "info", "--dir", cache_dir],
         capture_output=True, text=True, env=repro_env(), check=False,
@@ -158,6 +181,7 @@ def check_restart(workers, daemon_args, cache_dir, failures):
             failures.append(f"repro cache info lists no {wanted} file")
     return {
         "restart_cache_tier": tier,
+        "restart_plan_decoded": decoded == 1,
         "restart_exit_code": exit_code,
         "cache_info": listing.stdout.splitlines(),
     }, stderr_tail(proc)
@@ -193,10 +217,13 @@ def main(argv=None):
         exit_code = drain(proc, failures)
     daemon_stderr = stderr_tail(proc)
 
-    latencies = sorted(ms for _label, _status, ms, _tier in results)
+    latencies = sorted(ms for _label, _status, ms, _tier, _answer in results)
+    answers = [answer for *_rest, answer in results if answer is not None]
+    sizes = sorted(len(body) for _payload, body in answers)
+    decoded = decode_plans(answers, failures)
     statuses = {}
     tiers = {}
-    for _label, status, _ms, tier in results:
+    for _label, status, _ms, tier, _answer in results:
         statuses[str(status)] = statuses.get(str(status), 0) + 1
         if tier is not None:
             tiers[tier] = tiers.get(tier, 0) + 1
@@ -216,12 +243,17 @@ def main(argv=None):
             if latencies else None,
             "max": round(latencies[-1], 2) if latencies else None,
         },
+        "response_bytes": {
+            "median": statistics.median(sizes) if sizes else None,
+            "max": sizes[-1] if sizes else None,
+        },
+        "plans_decoded": decoded,
         "daemon_exit_code": exit_code,
         "stats": stats,
         "failures": failures,
     }
     summary_keys = ["requests", "statuses", "cache_tiers", "latency_ms",
-                    "daemon_exit_code"]
+                    "response_bytes", "plans_decoded", "daemon_exit_code"]
     if args.cache_dir:
         report["persistent"], restart_stderr = check_restart(
             args.workers, daemon_args, args.cache_dir, failures

@@ -38,12 +38,11 @@ def _core_tags(plan: ExecutablePlan, partition: DataBlockPartition) -> list[int]
             for name, offset_of, _ in nest.offset_evaluators()
         ]
         tags = []
-        for core_rounds in plan.rounds:
+        for core in range(len(plan.rounds)):
             tag = 0
-            for rnd in core_rounds:
-                for point in rnd:
-                    for offset_of, first, per_block in concrete:
-                        tag |= 1 << (first + offset_of(point) // per_block)
+            for point in plan.core_iterations(core):
+                for offset_of, first, per_block in concrete:
+                    tag |= 1 << (first + offset_of(point) // per_block)
             tags.append(tag)
         return tags
     resolved = []
@@ -53,15 +52,14 @@ def _core_tags(plan: ExecutablePlan, partition: DataBlockPartition) -> list[int]
         per_block = partition.elements_per_block(access.array.name)
         resolved.append((constant, coeffs, first, per_block))
     tags = []
-    for core_rounds in plan.rounds:
+    for core in range(len(plan.rounds)):
         tag = 0
-        for rnd in core_rounds:
-            for point in rnd:
-                for constant, coeffs, first, per_block in resolved:
-                    offset = constant
-                    for c, x in zip(coeffs, point):
-                        offset += c * x
-                    tag |= 1 << (first + offset // per_block)
+        for point in plan.core_iterations(core):
+            for constant, coeffs, first, per_block in resolved:
+                offset = constant
+                for c, x in zip(coeffs, point):
+                    offset += c * x
+                tag |= 1 << (first + offset // per_block)
         tags.append(tag)
     return tags
 

@@ -27,6 +27,7 @@ def retarget_plan(plan, target: Machine):
     version leaves 4 Dunnington cores unused).  Equal: unchanged.
     """
     from repro.mapping.distribute import ExecutablePlan
+    from repro.poly.runs import join_runs
 
     n_plan = len(plan.rounds)
     n_target = target.num_cores
@@ -44,7 +45,7 @@ def retarget_plan(plan, target: Machine):
     for core, core_rounds in enumerate(plan.rounds):
         home = core % n_target
         for index, rnd in enumerate(core_rounds):
-            folded[home][index] = tuple(folded[home][index]) + tuple(rnd)
+            folded[home][index] = join_runs(folded[home][index], rnd)
     rounds = tuple(tuple(core_rounds) for core_rounds in folded)
     return ExecutablePlan(target, plan.nest, rounds, plan.label)
 

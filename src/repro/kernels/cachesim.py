@@ -37,6 +37,7 @@ from the returned outcomes and the counters.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -249,6 +250,51 @@ def _resident_sets(lines, set_of, prev, num_sets: int, ways: int) -> list[dict]:
     return buckets
 
 
+def _round_indices(plan: "ExecutablePlan"):
+    """Per core: the linear iteration indices of all its rounds in
+    execution order (one ``repeat`` + ``arange`` expansion) and the
+    per-round point counts."""
+    for core_rounds in plan.rounds:
+        counts = [sum(length for _, length in rnd) for rnd in core_rounds]
+        yield plan.codec.expand(tuple(chain.from_iterable(core_rounds))), counts
+
+
+def _linear(columns: list, count: int, coeffs, constant: int):
+    """``constant + sum(c * column)`` as an int64 array of ``count``
+    values; zero coefficients cost nothing.  Column by column, this
+    beats an integer matmul (NumPy has no BLAS for int64)."""
+    import numpy as np
+
+    total = np.full(count, constant, dtype=np.int64)
+    for column, coeff in zip(columns, coeffs):
+        if coeff:
+            total += column * coeff
+    return total
+
+
+def _core_traces(plan: "ExecutablePlan", line_shift: int, column_fns: list):
+    """``(streams, offsets)`` from one address function per reference;
+    each maps ``(coordinate columns, count)`` to an int64 address array."""
+    import numpy as np
+
+    num_refs = len(column_fns)
+    streams: list = []
+    offsets: list[list[int]] = []
+    for indices, counts in _round_indices(plan):
+        offs = [0]
+        for count in counts:
+            offs.append(offs[-1] + count * num_refs)
+        lines = np.empty((len(indices), num_refs), dtype=np.int64)
+        if len(indices) and num_refs:
+            columns = plan.codec.columns(indices)
+            for ref, fn in enumerate(column_fns):
+                lines[:, ref] = fn(columns, len(indices))
+            lines >>= line_shift
+        streams.append(lines.ravel())  # point-major, access-minor
+        offsets.append(offs)
+    return streams, offsets
+
+
 def build_traces_numpy(plan: "ExecutablePlan", layout: "MemoryLayout", line_shift: int):
     """Vectorized :func:`repro.sim.trace.build_traces`, pre-concatenated.
 
@@ -271,34 +317,11 @@ def build_traces_numpy(plan: "ExecutablePlan", layout: "MemoryLayout", line_shif
         elem = access.array.element_size
         resolved_base.append(layout.bases[access.array.name] + constant * elem)
         resolved_coeffs.append(tuple(c * elem for c in coeffs))
-    base_vec = np.array(resolved_base, dtype=np.int64)
-    coeff_mat = np.array(resolved_coeffs, dtype=np.int64)  # (refs, depth)
-    num_refs = len(resolved_base)
-    depth = coeff_mat.shape[1] if num_refs else 0
-
-    streams: list = []
-    offsets: list[list[int]] = []
-    for core_rounds in plan.rounds:
-        offs = [0]
-        parts = []
-        for rnd in core_rounds:
-            num_points = len(rnd)
-            if num_points == 0 or num_refs == 0:
-                offs.append(offs[-1])
-                continue
-            points = np.fromiter(
-                chain.from_iterable(rnd),
-                dtype=np.int64,
-                count=num_points * depth,
-            ).reshape(num_points, depth)
-            addresses = points @ coeff_mat.T + base_vec  # (points, refs)
-            parts.append((addresses >> line_shift).ravel())
-            offs.append(offs[-1] + num_points * num_refs)
-        streams.append(
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        )
-        offsets.append(offs)
-    return streams, offsets
+    column_fns = [
+        partial(_linear, coeffs=coeffs, constant=base)
+        for base, coeffs in zip(resolved_base, resolved_coeffs)
+    ]
+    return _core_traces(plan, line_shift, column_fns)
 
 
 def _build_traces_numpy_indirect(
@@ -319,11 +342,10 @@ def _build_traces_numpy_indirect(
         base = layout.bases[access.array.name]
         if access.is_affine:
             constant, coeffs = access.offset_form()
-            coeff_vec = np.array(coeffs, dtype=np.int64)
             base_addr = base + constant * elem
 
-            def column(points, coeff_vec=coeff_vec, base_addr=base_addr, elem=elem):
-                return points @ coeff_vec * elem + base_addr
+            def column(columns, count, coeffs=coeffs, base_addr=base_addr, elem=elem):
+                return _linear(columns, count, coeffs, 0) * elem + base_addr
 
         else:
             strides = access.array._strides
@@ -334,43 +356,16 @@ def _build_traces_numpy_indirect(
                 data_vec = (
                     np.asarray(data, dtype=np.int64) if kind == "indirect" else None
                 )
-                dims.append(
-                    (np.array(coeffs, dtype=np.int64), constant, data_vec, stride)
-                )
+                dims.append((coeffs, constant, data_vec, stride))
 
-            def column(points, dims=dims, base=base, elem=elem):
-                total = np.zeros(len(points), dtype=np.int64)
-                for coeff_vec, constant, data_vec, stride in dims:
-                    values = points @ coeff_vec + constant
+            def column(columns, count, dims=dims, base=base, elem=elem):
+                total = np.zeros(count, dtype=np.int64)
+                for coeffs, constant, data_vec, stride in dims:
+                    values = _linear(columns, count, coeffs, constant)
                     if data_vec is not None:
                         values = data_vec[values]
                     total += values * stride
                 return base + total * elem
 
         column_fns.append(column)
-
-    num_refs = len(column_fns)
-    depth = len(nest.dims)
-    streams: list = []
-    offsets: list[list[int]] = []
-    for core_rounds in plan.rounds:
-        offs = [0]
-        parts = []
-        for rnd in core_rounds:
-            num_points = len(rnd)
-            if num_points == 0 or num_refs == 0:
-                offs.append(offs[-1])
-                continue
-            points = np.fromiter(
-                chain.from_iterable(rnd),
-                dtype=np.int64,
-                count=num_points * depth,
-            ).reshape(num_points, depth)
-            addresses = np.stack([fn(points) for fn in column_fns], axis=1)
-            parts.append((addresses >> line_shift).ravel())
-            offs.append(offs[-1] + num_points * num_refs)
-        streams.append(
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        )
-        offsets.append(offs)
-    return streams, offsets
+    return _core_traces(plan, line_shift, column_fns)

@@ -26,32 +26,45 @@ from repro.ir.loops import LoopNest
 from repro.mapping.dependence import build_group_dependence_graph
 from repro.mapping.distribute import ExecutablePlan
 from repro.mapping.schedule import schedule_groups
+from repro.poly.runs import RunCodec, run_points, split_runs
 from repro.topology.tree import Machine
+
+
+def _chunk_sizes(count: int, num_cores: int) -> list[int]:
+    """Balanced contiguous chunk sizes: the first ``count % num_cores``
+    cores take one extra iteration."""
+    if num_cores <= 0:
+        raise MappingError("need at least one core")
+    return [
+        count // num_cores + (1 if core < count % num_cores else 0)
+        for core in range(num_cores)
+    ]
 
 
 def chunk_iterations(
     nest: LoopNest, num_cores: int
 ) -> list[list[tuple[int, ...]]]:
     """Contiguous, balanced chunks of the lexicographic iteration order."""
-    if num_cores <= 0:
-        raise MappingError("need at least one core")
     points = list(nest.iterations())
-    n = len(points)
     chunks: list[list[tuple[int, ...]]] = []
     start = 0
-    for core in range(num_cores):
-        size = n // num_cores + (1 if core < n % num_cores else 0)
+    for size in _chunk_sizes(len(points), num_cores):
         chunks.append(points[start : start + size])
         start += size
     return chunks
 
 
 def base_plan(nest: LoopNest, machine: Machine) -> ExecutablePlan:
-    """Base: block distribution, original intra-core order, no barriers."""
+    """Base: block distribution, original intra-core order, no barriers.
+
+    Cuts K's own runs at the chunk boundaries; K is never enumerated.
+    """
     with obs.span("plan.base", nest=nest.name, cores=machine.num_cores):
-        chunks = chunk_iterations(nest, machine.num_cores)
-        rounds = tuple((tuple(chunk),) for chunk in chunks)
-    return ExecutablePlan(machine, nest, rounds, "base")
+        codec = RunCodec.of(nest.space)
+        runs = codec.space_runs(nest.space)
+        chunks = split_runs(runs, _chunk_sizes(run_points(runs), machine.num_cores))
+        rounds = tuple((chunk,) for chunk in chunks)
+    return ExecutablePlan(machine, nest, rounds, "base").counted()
 
 
 def base_plus_plan(
@@ -74,10 +87,12 @@ def base_plus_plan(
         l1 = machine.cache_path(0)[0].spec.size_bytes
         tile_sizes = select_tile_sizes(nest, l1)
     chunks = chunk_iterations(nest, machine.num_cores)
-    rounds = tuple(
-        (tuple(tiled_order(chunk, tile_sizes, perm)),) for chunk in chunks
+    return ExecutablePlan.from_points(
+        machine,
+        nest,
+        [[tiled_order(chunk, tile_sizes, perm)] for chunk in chunks],
+        "base+",
     )
-    return ExecutablePlan(machine, nest, rounds, "base+")
 
 
 def local_plan(

@@ -27,19 +27,28 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 from repro import obs
 from repro.errors import MappingError
 from repro.blocks.datablocks import DataBlockPartition
-from repro.blocks.groups import GroupSet, IterationGroup, check_exact_cover
+from repro.blocks.groups import GroupSet, IterationGroup
 from repro.ir.loops import LoopNest, Program
 from repro.mapping.dependence import GroupDependenceGraph
+from repro.poly.runs import Run, RunCodec, run_points
 from repro.topology.tree import Machine
 
 
 @dataclass(frozen=True)
 class ExecutablePlan:
     """A fully ordered execution plan: per core, per round, iterations.
+
+    ``rounds[core][round]`` is a tuple of ``(start, length)`` runs over
+    the row-major linearization of the nest's bounding box
+    (:mod:`repro.poly.runs`), in exact execution order.  Points exist
+    only on demand: :meth:`points` expands one round, and
+    :meth:`from_points` builds a plan from point sequences.
 
     A barrier synchronizes all cores between consecutive rounds.  This is
     the common currency between every mapping scheme (TopologyAware, Base,
@@ -48,29 +57,77 @@ class ExecutablePlan:
 
     machine: Machine
     nest: LoopNest
-    rounds: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
+    rounds: tuple[tuple[tuple[Run, ...], ...], ...]
     label: str
+
+    @cached_property
+    def codec(self) -> RunCodec:
+        """The linearization the runs are written in."""
+        return RunCodec.of(self.nest.space)
 
     @property
     def num_rounds(self) -> int:
         return max((len(core_rounds) for core_rounds in self.rounds), default=0)
 
+    def points(self, core: int, round_index: int) -> tuple[tuple[int, ...], ...]:
+        """The iterations of one core's round, in execution order."""
+        return self.codec.points(self.rounds[core][round_index])
+
     def core_iterations(self, core: int) -> list[tuple[int, ...]]:
-        return [p for rnd in self.rounds[core] for p in rnd]
+        return list(self.codec.points(tuple(chain.from_iterable(self.rounds[core]))))
 
     def total_iterations(self) -> int:
+        return sum(run_points(rnd) for core_rounds in self.rounds for rnd in core_rounds)
+
+    def run_count(self) -> int:
         return sum(len(rnd) for core_rounds in self.rounds for rnd in core_rounds)
+
+    def all_runs(self) -> list[Run]:
+        return [run for core_rounds in self.rounds for rnd in core_rounds for run in rnd]
+
+    def check_runs(self, error: type[Exception]) -> None:
+        """Raise ``error`` unless every run is a ``(start, length)`` pair of
+        ints inside the nest's box and no iteration is scheduled twice.
+        A partial plan passes (:meth:`verify_complete` checks the cover);
+        point tuples handed to the constructor in place of runs do not."""
+        self.codec.merge(self.all_runs(), error, "iteration {} scheduled twice")
 
     def verify_complete(self) -> None:
         """Every iteration of K exactly once across all cores."""
         with obs.span("plan.verify", nest=self.nest.name) as sp:
-            path = check_exact_cover(
-                self.nest,
-                [p for core_rounds in self.rounds for rnd in core_rounds for p in rnd],
-                MappingError, "iteration {} scheduled twice",
+            runs = self.all_runs()
+            sp.tag(runs=len(runs))
+            self.codec.check_cover(
+                self.nest.space, runs, MappingError, "iteration {} scheduled twice",
                 "plan covers {seen} iterations, space has {space}",
             )
-            sp.tag(path=path)
+
+    def counted(self) -> "ExecutablePlan":
+        """Record how fragmented this freshly built plan is (``plan.runs``
+        and ``plan.points`` counters); returns the plan."""
+        obs.count("plan.runs", self.run_count())
+        obs.count("plan.points", self.total_iterations())
+        return self
+
+    @staticmethod
+    def from_points(
+        machine: Machine,
+        nest: LoopNest,
+        point_rounds: Sequence[Sequence[Sequence[tuple[int, ...]]]],
+        label: str,
+    ) -> "ExecutablePlan":
+        """A plan from per-core, per-round point sequences.  Raises
+        :class:`MappingError` on a malformed point or one outside the
+        nest's bounding box."""
+        codec = RunCodec.of(nest.space)
+        try:
+            rounds = tuple(
+                tuple(codec.encode(rnd) for rnd in core_rounds)
+                for core_rounds in point_rounds
+            )
+        except ValueError as error:
+            raise MappingError(f"plan {label!r}: {error}") from None
+        return ExecutablePlan(machine, nest, rounds, label).counted()
 
     @staticmethod
     def from_group_rounds(
@@ -79,13 +136,23 @@ class ExecutablePlan:
         group_rounds: Sequence[Sequence[Sequence[IterationGroup]]],
         label: str,
     ) -> "ExecutablePlan":
-        rounds = tuple(
-            tuple(
-                tuple(p for g in rnd for p in g.iterations) for rnd in core_rounds
+        """A plan from scheduled groups; each round's points are read
+        once, in schedule order, and written as runs."""
+        codec = RunCodec.of(nest.space)
+        try:
+            rounds = tuple(
+                tuple(
+                    codec.encode_enumerated(
+                        chain.from_iterable(g.iterations for g in rnd),
+                        sum(g.size for g in rnd),
+                    )
+                    for rnd in core_rounds
+                )
+                for core_rounds in group_rounds
             )
-            for core_rounds in group_rounds
-        )
-        return ExecutablePlan(machine, nest, rounds, label)
+        except ValueError as error:
+            raise MappingError(f"plan {label!r}: {error}") from None
+        return ExecutablePlan(machine, nest, rounds, label).counted()
 
 
 @dataclass

@@ -209,13 +209,3 @@ class PlanArtifact:
 
     def fingerprint(self) -> str:
         return self._fingerprint
-
-    def point_rounds(self) -> tuple:
-        """The plan's rounds flattened to iteration tuples (the exact
-        shape of ``ExecutablePlan.rounds``)."""
-        return tuple(
-            tuple(
-                tuple(p for g in rnd for p in g.iterations) for rnd in core
-            )
-            for core in self.group_rounds
-        )

@@ -4,12 +4,14 @@ Intermediate artifacts (tag sets, dependence graphs, tree assignments)
 hold live ``IterationGroup`` objects whose idents — which the scheduler
 uses as deterministic tie-breakers — do not survive serialization, so
 persisting them could replay a *valid but different* plan.  The final
-stage's output, by contrast, is pure data: per-core rounds of iteration
-tuples.  This tier persists exactly that, keyed by the pipeline's
-schedule-stage key minus the process-local ident epoch, in the
-``plans`` namespace of :class:`repro.util.store.JsonStore`
-(``plans-<fp12>.json``; see that module for the fingerprint, the
-cross-process merge-on-write and the single-writer compaction).
+stage's output, by contrast, is pure data: per-core rounds of
+``(start, length)`` iteration runs.  This tier persists exactly that, in
+the plan wire format (:func:`repro.runtime.serialize.plan_to_dict`),
+keyed by the pipeline's schedule-stage key minus the process-local
+ident epoch, in the ``plans`` namespace of
+:class:`repro.util.store.JsonStore` (``plans-<fp12>.json``; see that
+module for the fingerprint, the cross-process merge-on-write and the
+single-writer compaction).
 
 :meth:`MappingPipeline.plan` consults this tier before running anything,
 which makes cold-process sweeps (a fresh ``repro tune`` over knobs
@@ -18,10 +20,11 @@ already explored yesterday) skip the whole chain.
 
 from __future__ import annotations
 
-from repro.errors import MappingError
+from repro.errors import SimulationError
 from repro.experiments.cache import code_fingerprint, default_cache_dir
 from repro.ir.loops import LoopNest
 from repro.mapping.distribute import ExecutablePlan
+from repro.runtime.serialize import FORMAT_VERSION, plan_from_dict, plan_to_dict
 from repro.topology.tree import Machine
 from repro.util.store import JsonStore
 
@@ -29,6 +32,7 @@ from repro.util.store import JsonStore
 def _well_formed(raw) -> bool:
     return (
         isinstance(raw, dict)
+        and raw.get("format") == FORMAT_VERSION
         and isinstance(raw.get("label"), str)
         and isinstance(raw.get("rounds"), list)
     )
@@ -52,30 +56,18 @@ class PlanStore:
         return len(self._store)
 
     def get(self, key: tuple, machine: Machine, nest: LoopNest) -> ExecutablePlan | None:
+        """The stored plan, or ``None`` when absent or when the entry does
+        not decode (any defect, a failed cover check included, is a miss)."""
         raw = self._store.get(key)
         if raw is None:
             return None
         try:
-            rounds = tuple(
-                tuple(tuple(tuple(int(x) for x in p) for p in rnd) for rnd in core)
-                for core in raw["rounds"]
-            )
-            plan = ExecutablePlan(machine, nest, rounds, str(raw["label"]))
-            plan.verify_complete()
-            return plan
-        except (KeyError, TypeError, ValueError, MappingError):
+            return plan_from_dict(raw, nest, machine)
+        except SimulationError:
             return None
 
     def put(self, key: tuple, plan: ExecutablePlan) -> None:
-        self._store.put(
-            key,
-            {
-                "label": plan.label,
-                "rounds": [
-                    [[list(p) for p in rnd] for rnd in core] for core in plan.rounds
-                ],
-            },
-        )
+        self._store.put(key, plan_to_dict(plan))
 
     def compact(self, max_entries: int | None = None) -> dict | None:
         """Rewrite the store, dropping malformed and overflow entries.

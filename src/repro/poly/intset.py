@@ -80,7 +80,7 @@ class LevelBounds:
 class IntSet:
     """A convex set of integer points over named dimensions."""
 
-    __slots__ = ("dims", "constraints", "_levels", "_empty_cache")
+    __slots__ = ("dims", "constraints", "_levels", "_empty_cache", "_bbox")
 
     def __init__(self, dims: Sequence[str], constraints: Iterable[Constraint] = ()):
         dims = tuple(dims)
@@ -102,6 +102,7 @@ class IntSet:
         object.__setattr__(self, "constraints", tuple(kept))
         object.__setattr__(self, "_levels", None)
         object.__setattr__(self, "_empty_cache", None)
+        object.__setattr__(self, "_bbox", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IntSet is immutable")
@@ -286,10 +287,10 @@ class IntSet:
         # innermost range is emitted at C speed.
         return itertools.chain.from_iterable(
             map(prefix.__add__, zip(range(lo, hi + 1)))
-            for prefix, lo, hi in self._innermost_ranges()
+            for prefix, lo, hi in self.rows()
         )
 
-    def _innermost_ranges(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    def rows(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
         """``(prefix, lo, hi)`` per non-empty innermost range, in lex order.
 
         Sweeps the outer ``d - 1`` levels only; the innermost level is
@@ -344,24 +345,27 @@ class IntSet:
             return math.prod(hi - lo + 1 for lo, hi in box)
         if not self.dims:
             return len(list(self.points()))
-        return sum(hi - lo + 1 for _, lo, hi in self._innermost_ranges())
+        return sum(hi - lo + 1 for _, lo, hi in self.rows())
 
     def bounding_box(self) -> list[tuple[int, int]]:
         """Per-dimension (lo, hi) ranges from the rational shadow.
 
         Sound over-approximation: every integer point of the set lies in
         the box.  Raises :class:`UnboundedSetError` for unbounded dims and
-        :class:`EmptySetError` when a projection is empty.
+        :class:`EmptySetError` when a projection is empty.  Computed once
+        per set.
         """
-        box: list[tuple[int, int]] = []
-        for name in self.dims:
-            projection = self.project_onto([name])
-            levels = projection.level_bounds()
-            rng = levels[0].range_for({})
-            if rng is None or rng[0] > rng[1]:
-                raise EmptySetError(f"dimension {name!r} has an empty range")
-            box.append(rng)
-        return box
+        if self._bbox is None:
+            box: list[tuple[int, int]] = []
+            for name in self.dims:
+                projection = self.project_onto([name])
+                levels = projection.level_bounds()
+                rng = levels[0].range_for({})
+                if rng is None or rng[0] > rng[1]:
+                    raise EmptySetError(f"dimension {name!r} has an empty range")
+                box.append(rng)
+            object.__setattr__(self, "_bbox", tuple(box))
+        return list(self._bbox)
 
     def is_bounded(self) -> bool:
         """True if lexicographic enumeration never hits an unbounded level."""

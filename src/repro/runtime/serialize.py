@@ -4,9 +4,9 @@ A compiled mapping is an artifact worth persisting: build farms map once
 and run many times; experiment pipelines archive what they executed.
 ``plan_to_json``/``plan_from_json`` round-trip an
 :class:`~repro.mapping.distribute.ExecutablePlan` given the program it
-belongs to (iteration tuples are data; the nest and machine are
-reconstructed from their own sources and validated against the recorded
-fingerprints).  ``result_to_dict`` flattens a
+belongs to (the ``(start, length)`` iteration runs are data; the nest
+and machine are reconstructed from their own sources and validated
+against the recorded box and fingerprints).  ``result_to_dict`` flattens a
 :class:`~repro.sim.stats.SimResult` for logging.
 
 ``program_to_dict``/``program_from_dict`` round-trip a whole
@@ -21,10 +21,9 @@ content key for caching.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 
-from repro.errors import IRError, SimulationError
+from repro.errors import IRError, MappingError, SimulationError
 from repro.ir.accesses import ArrayAccess, IndirectAccess, IndirectExpr
 from repro.ir.arrays import Array
 from repro.ir.loops import LoopNest, Program
@@ -32,10 +31,11 @@ from repro.mapping.distribute import ExecutablePlan
 from repro.poly.affine import AffineExpr
 from repro.poly.constraints import Constraint
 from repro.poly.intset import IntSet
+from repro.poly.runs import RunCodec
 from repro.sim.stats import SimResult
 from repro.topology.tree import Machine
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Format tag for serialized programs (independent of the plan format).
 PROGRAM_FORMAT_VERSION = 1
@@ -147,72 +147,114 @@ def machine_from_dict(payload: dict) -> Machine:
 
 
 def plan_to_dict(plan: ExecutablePlan) -> dict:
-    """The plan as a plain JSON-serializable dict (rounds of iteration
-    tuples + fingerprints); :func:`plan_to_json` is its dumped form."""
+    """The plan as a plain JSON-serializable dict (fingerprints, the
+    nest's bounding box, and per core, per round, ``[start, length]``
+    runs over the box); :func:`plan_to_json` is its dumped form."""
     return {
         "format": FORMAT_VERSION,
         "label": plan.label,
         "nest": plan.nest.name,
         "dims": list(plan.nest.dims),
+        "box": [list(bounds) for bounds in plan.codec.box],
         "machine": _machine_fingerprint(plan.machine),
         "rounds": [
-            [[list(point) for point in rnd] for rnd in core_rounds]
+            [[list(run) for run in rnd] for rnd in core_rounds]
             for core_rounds in plan.rounds
         ],
     }
 
 
 def plan_to_json(plan: ExecutablePlan) -> str:
-    """Serialize a plan (rounds of iteration tuples + fingerprints)."""
+    """Serialize a plan (see :func:`plan_to_dict`)."""
     return json.dumps(plan_to_dict(plan))
 
 
 def plan_from_json(
-    text: str, program: Program, machine: Machine
+    text: str | bytes, program: Program, machine: Machine
 ) -> ExecutablePlan:
     """Reconstruct a plan against a program and machine.
 
-    The recorded nest name and machine fingerprint must match — a plan
-    computed for one topology must not silently execute against another.
+    The recorded nest name, bounding box and machine fingerprint must
+    match — a plan computed for one topology must not silently execute
+    against another.  Any malformed payload raises
+    :class:`~repro.errors.SimulationError`.
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:  # bad JSON, bad UTF-8, too deep
         raise SimulationError(f"malformed plan JSON: {error}") from None
+    name = payload.get("nest") if isinstance(payload, dict) else None
+    nest = next((n for n in program.nests if n.name == name), None)
+    if nest is None:
+        raise SimulationError(f"plan names no nest of program {program.name!r}: {name!r}")
+    return plan_from_dict(payload, nest, machine)
+
+
+def plan_from_dict(payload: object, nest: LoopNest, machine: Machine) -> ExecutablePlan:
+    """Reconstruct a :func:`plan_to_dict` payload for ``nest`` on
+    ``machine``, checking every field and the cover of the iteration
+    space; raises :class:`~repro.errors.SimulationError` on any defect."""
+    if not isinstance(payload, dict):
+        raise SimulationError("plan payload must be a JSON object")
     if payload.get("format") != FORMAT_VERSION:
         raise SimulationError(
             f"unsupported plan format {payload.get('format')!r}"
         )
-    nest = program.nest(payload["nest"])
+    for key, kind in (("label", str), ("dims", list), ("box", list),
+                      ("machine", dict), ("rounds", list)):
+        if not isinstance(payload.get(key), kind):
+            raise SimulationError(f"plan payload: {key!r} must be a {kind.__name__}")
+    if payload.get("nest") != nest.name:
+        raise SimulationError(
+            f"plan is for nest {payload.get('nest')!r}, not {nest.name!r}"
+        )
     if list(nest.dims) != payload["dims"]:
         raise SimulationError(
             f"nest {nest.name!r} dims {nest.dims} do not match recorded "
             f"{payload['dims']}"
         )
+    box = [list(bounds) for bounds in RunCodec.of(nest.space).box]
+    if payload["box"] != box:
+        raise SimulationError(
+            f"nest {nest.name!r} box {box} does not match recorded {payload['box']}"
+        )
     recorded = payload["machine"]
     actual = _machine_fingerprint(machine)
     for key in ("cores", "levels", "degrees"):
-        if recorded[key] != actual[key]:
+        if recorded.get(key) != actual[key]:
             raise SimulationError(
                 f"machine mismatch on {key}: plan was built for "
-                f"{recorded[key]}, target has {actual[key]}"
+                f"{recorded.get(key)}, target has {actual[key]}"
             )
+    if len(payload["rounds"]) > machine.num_cores:
+        raise SimulationError(
+            f"plan has {len(payload['rounds'])} cores, target has {machine.num_cores}"
+        )
     rounds = tuple(
-        tuple(tuple(tuple(point) for point in rnd) for rnd in core_rounds)
+        tuple(_decode_round(rnd) for rnd in _list_of(core_rounds, "core"))
         for core_rounds in payload["rounds"]
     )
-    # Exactly ``int``: a float or bool coordinate equals an int in a set,
-    # so the cover check would pass it on to the simulator.
-    kinds = {int}
-    for core_rounds in rounds:
-        for rnd in core_rounds:
-            kinds.update(map(type, itertools.chain.from_iterable(rnd)))
-    if kinds != {int}:
-        names = sorted(kind.__name__ for kind in kinds - {int})
-        raise SimulationError(f"plan coordinates must be int, got {names}")
     plan = ExecutablePlan(machine, nest, rounds, payload["label"])
-    plan.verify_complete()
+    try:
+        plan.verify_complete()  # run values, bounds and the exact cover
+    except MappingError as error:
+        raise SimulationError(f"invalid plan: {error}") from None
     return plan
+
+
+def _list_of(value: object, what: str) -> list:
+    if not isinstance(value, list):
+        raise SimulationError(f"plan payload: each {what} must be a list")
+    return value
+
+
+def _decode_round(rnd: object) -> tuple[tuple, ...]:
+    """One round's ``[start, length]`` runs as tuples (their values are
+    checked by the cover check)."""
+    runs = _list_of(rnd, "round")
+    if not all(isinstance(run, list) and len(run) == 2 for run in runs):
+        raise SimulationError("plan payload: runs must be [start, length] pairs")
+    return tuple(map(tuple, runs))
 
 
 def _expr_to_dict(expr: AffineExpr) -> dict:

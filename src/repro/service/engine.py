@@ -30,6 +30,7 @@ from repro.mapping.baselines import base_plan
 from repro.mapping.distribute import ExecutablePlan
 from repro.pipeline.core import MappingPipeline
 from repro.pipeline.store import default_store
+from repro.poly.runs import run_points
 from repro.runtime.serialize import plan_to_dict
 from repro.service.protocol import MappingRequest, RemapRequest
 
@@ -43,7 +44,7 @@ def _payload(
         cores=request.machine.num_cores,
         rounds=plan.num_rounds,
         per_core_iterations=[
-            sum(len(rnd) for rnd in core_rounds) for core_rounds in plan.rounds
+            sum(map(run_points, core_rounds)) for core_rounds in plan.rounds
         ],
     )
     return {

@@ -117,11 +117,14 @@ def simulate_plan(
     ``machine`` overrides the plan's target (used by the cross-machine
     experiment, Figure 14: run the version tuned for machine A on
     machine B).  A pre-built ``machine_sim`` may be passed to run several
-    plans against warm caches; by default each call starts cold.
+    plans against warm caches; by default each call starts cold.  Raises
+    :class:`SimulationError` on a malformed run or an iteration scheduled
+    twice (:meth:`ExecutablePlan.check_runs`).
     """
     config = config or SimConfig()
     target = machine or plan.machine
     msim = machine_sim or MachineSim(target)
+    plan.check_runs(SimulationError)
     if msim.machine.num_cores < len(plan.rounds):
         raise SimulationError(
             f"plan uses {len(plan.rounds)} cores, machine "

@@ -2,9 +2,10 @@
 
 A :class:`MemoryLayout` assigns each array a line-aligned base address.
 :func:`build_traces` turns an :class:`~repro.mapping.distribute.ExecutablePlan`
-into per-core, per-round flat lists of cache-line numbers: for each
-iteration, the nest's references are issued in program order, each as one
-access to the line holding the referenced element.
+into per-core, per-round flat lists of cache-line numbers: each round's
+runs are expanded to iterations, and each iteration accesses the nest's
+references in program order, one access per reference to the line
+holding the referenced element.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def build_traces(
         for rnd in core_rounds:
             lines: list[int] = []
             append = lines.append
-            for point in rnd:
+            for point in plan.codec.points(rnd):
                 for base, coeffs in resolved:
                     addr = base
                     for c, x in zip(coeffs, point):
@@ -115,7 +116,7 @@ def _build_traces_concrete(
         for rnd in core_rounds:
             lines: list[int] = []
             append = lines.append
-            for point in rnd:
+            for point in plan.codec.points(rnd):
                 for base, elem, offset_of in resolved:
                     append((base + offset_of(point) * elem) >> line_shift)
             core_trace.append(lines)

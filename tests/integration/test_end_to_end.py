@@ -38,7 +38,7 @@ class TestSchemeAgreement:
         reference = sorted(nest.iterations())
         for plan in plans:
             flat = sorted(
-                p for core_rounds in plan.rounds for rnd in core_rounds for p in rnd
+                p for core in range(len(plan.rounds)) for p in plan.core_iterations(core)
             )
             assert flat == reference, plan.label
 

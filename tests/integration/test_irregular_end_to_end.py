@@ -32,7 +32,7 @@ class TestIrregularMapping:
         reference = sorted(nest.iterations())
         for plan in (base, ta):
             flat = sorted(
-                p for core_rounds in plan.rounds for rnd in core_rounds for p in rnd
+                p for core in range(len(plan.rounds)) for p in plan.core_iterations(core)
             )
             assert flat == reference, plan.label
 

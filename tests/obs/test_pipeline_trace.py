@@ -115,6 +115,28 @@ class TestPipelineTrace:
         assert "affinity.weight_table" in names
         assert col.summary()["counters"]["affinity.tables_built"] == 1
 
+    def test_plan_fragmentation_counters(self, fig5_program, fig9_machine):
+        """Every scheme that builds a plan counts its runs and points."""
+        from repro.blocks.datablocks import DataBlockPartition
+        from repro.mapping.baselines import base_plan, base_plus_plan, local_plan
+
+        nest = fig5_program.nests[0]
+        part = DataBlockPartition(list(fig5_program.arrays.values()), 4 * 8)
+        mapper = TopologyAwareMapper(fig9_machine, block_size=4 * 8, local_scheduling=True)
+        schemes = {
+            "ta+s": lambda: mapper.map_nest(fig5_program, nest).plan(),
+            "base": lambda: base_plan(nest, fig9_machine),
+            "base+": lambda: base_plus_plan(nest, fig9_machine),
+            "local": lambda: local_plan(nest, fig9_machine, part),
+        }
+        for scheme, build in schemes.items():
+            col = CollectorSink()
+            with obs.tracing(col):
+                plan = build()
+            counters = col.summary()["counters"]
+            assert counters["plan.runs"] == plan.run_count() >= 1, scheme
+            assert counters["plan.points"] == nest.iteration_count(), scheme
+
     def test_pipeline_untouched_without_recorder(self, fig5_program, fig9_machine):
         # Instrumentation must never require an installed recorder.
         assert not obs.enabled()

@@ -225,8 +225,8 @@ class TestDifferential:
         )
         assert payload["mapping"] == plan_to_dict(expected)
         assert payload["stats"]["per_core_iterations"] == [
-            sum(len(rnd) for rnd in core_rounds)
-            for core_rounds in expected.rounds
+            len(expected.core_iterations(core))
+            for core in range(len(expected.rounds))
         ]
 
 

@@ -186,6 +186,36 @@ class TestPlanStore:
         key = pipe.plan_key(program, program.nests[0])
         assert fresh.get(key, fig9_machine, program.nests[0]) is None
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda entry: ["not", "an", "object"],
+            lambda entry: {k: v for k, v in entry.items() if k != "rounds"},
+            lambda entry: {**entry, "format": 1},
+            lambda entry: {**entry, "machine": "fig9"},
+            lambda entry: {**entry, "rounds": [[7]]},
+            lambda entry: {**entry, "rounds": [[[[0, -1]]]]},
+            lambda entry: {**entry, "rounds": [[[[0.0, 1]]]]},
+            lambda entry: {**entry, "box": [[0, 1]]},
+        ],
+        ids=["list", "no-rounds", "format-1", "machine-string", "round-int",
+             "negative-length", "float-start", "box-mismatch"],
+    )
+    def test_undecodable_entry_is_a_miss(self, plan_and_pipe, fig9_machine,
+                                         tmp_path, corrupt):
+        """Any decode failure reads as a miss, never as an exception."""
+        pipe, _, program = plan_and_pipe
+        path = pipe.plans.path
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        key = next(iter(payload["plans"]))
+        payload["plans"][key] = corrupt(payload["plans"][key])
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        fresh = PlanStore(str(tmp_path))
+        key = pipe.plan_key(program, program.nests[0])
+        assert fresh.get(key, fig9_machine, program.nests[0]) is None
+
     def test_file_name_carries_code_fingerprint(self, tmp_path):
         from repro.experiments.cache import code_fingerprint
 

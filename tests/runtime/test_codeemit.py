@@ -21,6 +21,16 @@ class TestEmission:
             iters = [payload for kind, payload in fn() if kind == "iter"]
             assert iters == plan.core_iterations(core)
 
+    def test_2d_runs_unravel_to_the_plan_points(self, stencil_program, fig9_machine):
+        """A 2-D box with non-zero lower bounds: each emitted loop turns
+        its linear indices back into the plan's points, in order."""
+        mapper = TopologyAwareMapper(fig9_machine, block_size=64, local_scheduling=True)
+        plan = mapper.map_nest(stencil_program, stencil_program.nests[0]).plan()
+        for core in range(4):
+            fn = compile_core(plan, core)
+            iters = [payload for kind, payload in fn() if kind == "iter"]
+            assert iters == plan.core_iterations(core)
+
     def test_barrier_markers_match_rounds(self, dependent_program, two_core_machine):
         mapper = TopologyAwareMapper(two_core_machine, block_size=32)
         plan = mapper.map_nest(dependent_program, dependent_program.nests[0]).plan()
@@ -44,7 +54,7 @@ class TestEmission:
 
         nest = fig5_program.nests[0]
         pts = tuple(nest.iterations())
-        plan = ExecutablePlan(
+        plan = ExecutablePlan.from_points(
             fig9_machine, nest, ((pts,), ((),), ((),), ((),)), "lopsided"
         )
         fn = compile_core(plan, 1)

@@ -244,7 +244,7 @@ class TestEndpoints:
 
         payload = client.version()
         assert payload["version"] == repro.__version__
-        assert payload["plan_format"] == 1
+        assert payload["plan_format"] == 2
         assert payload["program_format"] == 1
 
     def test_stats_shape(self, client):

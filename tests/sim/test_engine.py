@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.mapping.baselines import base_plan
+from repro.mapping.baselines import base_plan, chunk_iterations
 from repro.mapping.distribute import ExecutablePlan, TopologyAwareMapper
 from repro.sim.engine import SimConfig, simulate_plan
 
@@ -60,6 +60,41 @@ class TestSimulation:
         result = simulate_plan(plan)
         assert result.cycles == 0 and result.total_accesses == 0
 
+    def test_point_tuples_in_place_of_runs_rejected(self, stencil_program, fig9_machine):
+        """A 2-D point ``(i, j)`` has the shape of a run; a plan built from
+        points with the plain constructor must fail, not simulate."""
+        nest = stencil_program.nests[0]
+        chunks = chunk_iterations(nest, fig9_machine.num_cores)
+        stale = ExecutablePlan(fig9_machine, nest, tuple((tuple(c),) for c in chunks), "stale")
+        with pytest.raises(SimulationError):
+            simulate_plan(stale)
+        good = ExecutablePlan.from_points(fig9_machine, nest, [[c] for c in chunks], "good")
+        assert good.rounds == base_plan(nest, fig9_machine).rounds
+        simulate_plan(good)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda rnd: rnd + rnd[:1],  # an iteration twice
+            lambda rnd: ((rnd[0][0], 0),) + rnd[1:],  # zero length
+            lambda rnd: ((rnd[0][0], 10**6),) + rnd[1:],  # past the box
+            lambda rnd: ((float(rnd[0][0]), rnd[0][1]),) + rnd[1:],  # not an int
+        ],
+        ids=["twice", "zero-length", "outside", "float"],
+    )
+    def test_malformed_runs_rejected(self, stencil_program, fig9_machine, mutate):
+        plan = base_plan(stencil_program.nests[0], fig9_machine)
+        rounds = ((mutate(plan.rounds[0][0]),),) + plan.rounds[1:]
+        with pytest.raises(SimulationError):
+            simulate_plan(ExecutablePlan(plan.machine, plan.nest, rounds, "bad"))
+
+    def test_partial_plan_simulates(self, stencil_program, fig9_machine):
+        plan = base_plan(stencil_program.nests[0], fig9_machine)
+        partial = ExecutablePlan(plan.machine, plan.nest, plan.rounds[:1], "partial")
+        result = simulate_plan(partial)
+        assert result.total_accesses == len(plan.nest.accesses) * partial.total_iterations()
+        assert 0 < partial.total_iterations() < plan.total_iterations()
+
 
 class TestBarriers:
     def test_rounds_produce_barriers(self, dependent_program, two_core_machine):
@@ -89,12 +124,12 @@ class TestSharingEffects:
         half = len(pts) // 2
         # Same iterations, two distributions: interleaved (sharers split
         # across non-affinity cores 0 and 2) vs paired (sharers on 0, 1).
-        split = ExecutablePlan(
+        split = ExecutablePlan.from_points(
             fig9_machine, nest,
             ((tuple(pts[:half]),), (tuple(),), (tuple(pts[half:]),), (tuple(),)),
             "split",
         )
-        paired = ExecutablePlan(
+        paired = ExecutablePlan.from_points(
             fig9_machine, nest,
             ((tuple(pts[:half]),), (tuple(pts[half:]),), (tuple(),), (tuple(),)),
             "paired",

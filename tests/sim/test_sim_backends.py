@@ -174,11 +174,14 @@ class TestDifferential:
         rounds = [[[] for _ in range(num_rounds)] for _ in range(num_cores)]
         for point in points:
             rounds[rng.randrange(num_cores)][rng.randrange(num_rounds)].append(point)
-        plan = ExecutablePlan(
+        plan = ExecutablePlan.from_points(
             fig9_machine,
             nest,
             tuple(tuple(tuple(rnd) for rnd in core) for core in rounds),
             f"random-{seed}",
+        )
+        assert sorted(p for c in range(num_cores) for p in plan.core_iterations(c)) == (
+            sorted(points)
         )
         config = rng.choice(CONFIGS)
         assert_engines_agree(plan, fig9_machine, **config)

@@ -74,3 +74,75 @@ class TestTraces:
             for a in nest.accesses
         ]
         assert got == expected
+
+
+TRIANGLE = """
+array A[16][16];
+array x[16];
+parallel for (i = 0; i < 16; i++)
+  for (j = 0; j <= i; j++)
+    A[i][j] = A[i][j] + x[j] + A[j][i];
+"""
+
+
+# Tagging a non-rectangular nest takes the scalar path and says so.
+@pytest.mark.filterwarnings("ignore:repro.kernels. scalar fallback:RuntimeWarning")
+class TestRunTraceDifferential:
+    """``build_traces_numpy`` (one ``repeat`` + ``arange`` expansion per
+    core, unravelled by the strides) against ``build_traces`` fed by the
+    pure-Python codec: same lines, same order, same round boundaries."""
+
+    @pytest.fixture(params=["affine", "indirect", "triangular"])
+    def case(self, request, stencil_program):
+        """``(nest, program, block size)``."""
+        from repro.lang import compile_source
+        from repro.workloads.registry import workload
+
+        if request.param == "affine":
+            return stencil_program.nests[0], stencil_program, 256
+        if request.param == "indirect":
+            app = workload("spmv_random")
+            return app.nest(), app.program(), app.block_size()
+        program = compile_source(TRIANGLE, name="triangle")
+        return program.nests[0], program, 256
+
+    def plans(self, nest, program, block_size, machine):
+        import random
+
+        from repro.mapping.distribute import ExecutablePlan, TopologyAwareMapper
+
+        mapped = TopologyAwareMapper(machine, block_size=block_size, local_scheduling=True)
+        points = list(nest.iterations())
+        random.Random(7).shuffle(points)
+        cores = machine.num_cores
+        half = len(points) // (2 * cores)
+        # Each core: its strided share of the shuffled points, in two rounds.
+        shuffled = [
+            [points[c::cores][:half], points[c::cores][half:]] for c in range(cores)
+        ]
+        return [
+            base_plan(nest, machine),
+            mapped.map_nest(program, nest).plan(),
+            ExecutablePlan.from_points(machine, nest, shuffled, "shuffled"),
+        ]
+
+    def test_numpy_trace_equals_scalar(self, case, fig9_machine, monkeypatch):
+        from repro import kernels
+        from repro.kernels.cachesim import build_traces_numpy
+
+        if not kernels.have_numpy():
+            pytest.skip("numpy is not importable")
+        nest, program, block_size = case
+        layout = MemoryLayout.for_nest(nest, 32)
+        for plan in self.plans(nest, program, block_size, fig9_machine):
+            plan.verify_complete()
+            streams, offsets = build_traces_numpy(plan, layout, 5)
+            with monkeypatch.context() as patched:
+                patched.setattr(kernels, "have_numpy", lambda: False)
+                scalar = build_traces(plan, layout, 5)
+            for core, rounds in enumerate(scalar):
+                assert streams[core].tolist() == [line for rnd in rounds for line in rnd]
+                bounds = [0]
+                for rnd in rounds:
+                    bounds.append(bounds[-1] + len(rnd))
+                assert offsets[core] == bounds, plan.label
