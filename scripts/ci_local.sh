@@ -9,6 +9,10 @@
 #   * perf-smoke  pytest -m perf_smoke + the quickstart trace artifact
 #   * figure-shapes  benchmarks/ shape assertions (quick subset), the
 #                    perfbench self-tests and the perfbench gate
+#   * service-smoke  scripts/service_smoke.py: 2-worker shard, single
+#                    process, persistent shard over a cache directory
+#   * service-coverage  tests/service under coverage, >= 85%
+#                    (skipped if pytest-cov is not installed)
 #
 # Run from the repository root:  bash scripts/ci_local.sh
 set -u
@@ -70,6 +74,27 @@ note "figure shapes (quick subset) + perfbench self-tests + perfbench gate"
 python3 -m pytest benchmarks -q || fail "figure shapes"
 python3 -m pytest perfbench/tests -q || fail "perfbench self-tests"
 python3 scripts/perfbench_gate.py || fail "perfbench gate"
+
+# -- service smoke + coverage ----------------------------------------------
+note "service smoke (shard, single process, persistent shard)"
+SMOKE_DIR="$(mktemp -d)"
+python3 scripts/service_smoke.py --out "$SMOKE_DIR/service-smoke.json" \
+    || fail "service smoke"
+python3 scripts/service_smoke.py --workers 1 \
+    --out "$SMOKE_DIR/service-smoke-single.json" \
+    || fail "service smoke (single process)"
+python3 scripts/service_smoke.py --workers 2 --cache-dir "$SMOKE_DIR/smoke-cache" \
+    --out "$SMOKE_DIR/service-smoke-persistent.json" \
+    || fail "service smoke (persistent shard)"
+
+note "service coverage (>= 85%)"
+if python3 -c "import pytest_cov" >/dev/null 2>&1; then
+    python3 -m pytest tests/service -q -ra \
+        --cov=repro.service --cov-report=term-missing --cov-fail-under=85 \
+        || fail "service coverage"
+else
+    skip "service coverage: pytest-cov not installed (CI installs it with pip)"
+fi
 
 # -- summary ---------------------------------------------------------------
 printf '\n== ci_local summary ==\n'

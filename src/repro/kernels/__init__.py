@@ -53,7 +53,6 @@ _warned_reasons: set[str] = set()
 FALLBACK_REASONS = {
     "no-numpy": "NumPy is not importable; the scalar reference backend is used",
     "lane-budget": "tag width exceeds the packed uint64 lane budget",
-    "non-rectangular": "iteration space has loop-variant bounds",
     "sim-unresolved": (
         "batched LRU filter pass left too much unresolved reuse work; "
         "the scalar level loop is used for this stream"

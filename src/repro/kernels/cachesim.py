@@ -60,26 +60,23 @@ MIN_NUMPY_STREAM = 1024
 UNRESOLVED_WORK_FACTOR = 32
 
 
-def simulate_level(cache: "SetAssociativeCache", lines, use_numpy: bool):
-    """Run ``lines`` through one cache component; returns the hit mask.
+def simulate_level(cache: "SetAssociativeCache", lines):
+    """Run the ``int64`` array ``lines`` through one cache component;
+    returns the hit mask.
 
     Exactly equivalent to ``[cache.access(l) for l in lines]``: counters
-    are incremented and the resident sets (with LRU order) updated.  With
-    ``use_numpy`` and a long enough stream the vectorized kernel runs and
-    the mask comes back as a bool ndarray; otherwise (short stream, or
-    the kernel declining an adversarial stream) the tight scalar loop
-    runs and the mask is a list of bools.
+    are incremented and the resident sets (with LRU order) updated.  On a
+    long enough stream the vectorized kernel runs and the mask comes back
+    as a bool ndarray; otherwise (short stream, or the kernel declining
+    an adversarial stream) the tight scalar loop runs and the mask is a
+    list of bools.
     """
-    n = len(lines)
-    if use_numpy and n >= MIN_NUMPY_STREAM:
+    if len(lines) >= MIN_NUMPY_STREAM:
         result = _simulate_level_numpy(cache, lines)
         if result is not None:
             return result
         note_fallback("sim-unresolved", "sim.level")
-        lines = lines.tolist()
-    elif use_numpy and n:
-        lines = lines.tolist()
-    return _simulate_level_scalar(cache, lines)
+    return _simulate_level_scalar(cache, lines.tolist())
 
 
 def _simulate_level_scalar(cache: "SetAssociativeCache", lines) -> list[bool]:

@@ -67,7 +67,8 @@ def tag_iterations_numpy(
         return None
     grid = iteration_grid(nest)
     if grid is None:
-        note_fallback("non-rectangular", "tagging")
+        # Loop-variant bounds: the scalar tagger is the designed path,
+        # not a fallback (``kernels.backend.python`` counts it).
         return None
     count, _ = grid.shape
     if not count:

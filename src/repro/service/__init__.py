@@ -11,12 +11,15 @@ with nothing beyond the standard library:
 * :mod:`repro.service.engine` — pipeline + baseline execution per request;
 * :mod:`repro.service.mapcache` — two-tier (LRU + persistent) result cache;
 * :mod:`repro.service.admission` — bounded queue and worker pool;
-* :mod:`repro.service.server` — the HTTP daemon (``repro serve``);
-* :mod:`repro.service.client` — the client API (``repro submit``);
+* :mod:`repro.service.server` — the one HTTP stack (listener, routes,
+  body checks, error mapping, drain loop) and the single-process daemon
+  on it (``repro serve``);
+* :mod:`repro.service.client` — the client API (``repro submit``), which
+  the shard router also forwards through;
 * :mod:`repro.service.hashring` — consistent hashing for shard routing;
 * :mod:`repro.service.shard` — the multi-process sharded mode
-  (``repro serve --workers N``): front router, forked workers,
-  health-checked restarts, aggregated stats.
+  (``repro serve --workers N``): a front router on the same HTTP stack,
+  forked workers, health-checked restarts, aggregated stats.
 
 Quick start::
 

@@ -46,9 +46,13 @@ class ServiceClient:
 
     # -- transport -------------------------------------------------------
     def request(
-        self, method: str, path: str, body: dict | None = None
+        self, method: str, path: str, body: dict | bytes | None = None
     ) -> tuple[int, dict[str, str], bytes]:
-        """One HTTP exchange; returns (status, lowercased headers, body)."""
+        """One HTTP exchange; returns (status, lowercased headers, body).
+
+        A ``dict`` body is JSON-encoded; ``bytes`` are sent unchanged
+        (the shard router forwards raw request bodies this way).
+        """
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
@@ -56,7 +60,7 @@ class ServiceClient:
             payload = None
             headers = {}
             if body is not None:
-                payload = json.dumps(body).encode()
+                payload = body if isinstance(body, bytes) else json.dumps(body).encode()
                 headers["Content-Type"] = "application/json"
             connection.request(method, path, body=payload, headers=headers)
             response = connection.getresponse()

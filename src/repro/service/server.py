@@ -1,8 +1,9 @@
-"""The HTTP/JSON mapping daemon (``repro serve``).
+"""The HTTP/JSON mapping daemon (``repro serve``) and its HTTP stack.
 
 One :class:`MappingService` owns the four moving parts — admission queue,
-worker pool, two-tier cache, and stats — behind a stdlib
-:class:`~http.server.ThreadingHTTPServer`:
+worker pool, two-tier cache, and stats — behind the one HTTP front end
+defined here (:class:`HTTPFront`), which the shard router
+(:mod:`repro.service.shard`) runs too:
 
 ``POST /map``
     Submit a mapping request (see :mod:`repro.service.protocol`).
@@ -21,6 +22,17 @@ worker pool, two-tier cache, and stats — behind a stdlib
     Prometheus-style text metrics bridged from the :mod:`repro.obs`
     counters/gauges, and the library version.
 
+**One HTTP stack**: :class:`HTTPFront` holds the only listener (an
+accept backlog of 128, never a shared port), the only request handler
+(the four GET routes and the ``POST`` body checks against
+:data:`MAX_BODY_BYTES`), the error mapping (a :class:`ServiceError`
+answers its own status and ``Retry-After``, any other
+:class:`~repro.errors.ReproError` 400, anything else 500; every POST
+answer counts once as ``http.<status>``), the ``/version`` payload, a
+bind-first ``start``/``stop`` and the signal-driven ``serve`` loop.  A
+front supplies only its payloads: the health, stats and metrics bodies
+and ``post(path, raw) -> (status, headers, bytes)``.
+
 **Deadline-aware degradation**: a request with ``deadline_ms`` (or the
 server default) is checked when a worker picks it up.  If the time
 already spent waiting plus the *predicted* pipeline cost (an EWMA of
@@ -33,9 +45,9 @@ request writes ``<dir>/request-<id>.jsonl``.  Per-request recorders are
 process-global, so traced pipelines serialize through a lock —
 observability mode trades throughput for per-request spans.
 
-**Shutdown**: :meth:`MappingService.serve` installs SIGINT/SIGTERM
-handlers that stop admissions, drain queued and in-flight work, flush
-the persistent cache tier, and only then exit.
+**Shutdown**: :meth:`HTTPFront.serve` installs SIGINT/SIGTERM handlers
+that stop admissions, drain queued and in-flight work, flush the
+persistent cache tier, and only then exit.
 """
 
 from __future__ import annotations
@@ -56,6 +68,7 @@ from repro.service.admission import AdmissionQueue, Job
 from repro.service.engine import baseline_mapping, compute_mapping, compute_remap
 from repro.service.mapcache import MappingCache
 from repro.service.protocol import (
+    BadRequest,
     MappingRequest,
     ServiceError,
     Unavailable,
@@ -94,7 +107,7 @@ class ServiceConfig:
 
 
 class _LatencyWindow:
-    """Lock-free-enough ring of recent request latencies for /stats."""
+    """Ring of recent request latencies; :class:`ServiceStats` locks it."""
 
     def __init__(self, size: int = 512):
         self._size = size
@@ -122,7 +135,7 @@ class _LatencyWindow:
 
 
 class ServiceStats:
-    """Counter table for the service itself (obs counters ride along)."""
+    """Counter table and latency window of one front (obs counters ride along)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -172,16 +185,220 @@ class ServiceStats:
             }
 
 
-class MappingService:
-    """The daemon: owns the HTTP server, workers, cache, and stats."""
+def decode_body(raw: bytes) -> dict:
+    """A POST body as a JSON object; :class:`BadRequest` otherwise."""
+    try:
+        payload = json.loads(raw)
+    except ValueError as error:
+        raise BadRequest(f"malformed JSON body: {error}") from None
+    if not isinstance(payload, dict):
+        raise BadRequest("request body must be a JSON object")
+    return payload
 
-    def __init__(self, config: ServiceConfig | None = None, **overrides):
+
+def counter_lines(prefix: str, counters: dict[str, int]) -> list[str]:
+    """``<prefix>_<name>_total`` exposition lines, sorted by name."""
+    return [
+        f"{prefix}_{name.replace('.', '_').replace('-', '_')}_total {value}"
+        for name, value in sorted(counters.items())
+    ]
+
+
+def latency_lines(prefix: str, latency: dict) -> list[str]:
+    """``<prefix>_latency_{p50,p95,max}_ms`` lines of a latency summary."""
+    return [
+        f"{prefix}_latency_{key.replace('_ms', '')}_ms {latency[key]}"
+        for key in ("p50_ms", "p95_ms", "max_ms")
+        if key in latency
+    ]
+
+
+class HTTPFront:
+    """One HTTP front end: listener, routes, error mapping, lifecycle.
+
+    Subclasses supply the payloads — :meth:`stats_payload`,
+    :meth:`metric_lines`, :meth:`post` and, optionally,
+    :meth:`health_payload` — plus :meth:`_banner` and the lifecycle hooks
+    :meth:`_open` (runs once the port is bound) and :meth:`_drain` (runs
+    before the listener closes).
+    """
+
+    #: The config dataclass the keyword overrides build.
+    config_type: type = ServiceConfig
+    #: Reported as ``mode`` by ``/version`` (and the front's ``/stats``).
+    mode: str | None = None
+
+    def __init__(self, config=None, **overrides):
         if config is None:
-            config = ServiceConfig(**overrides)
+            config = self.config_type(**overrides)
         elif overrides:
-            raise TypeError("pass either a ServiceConfig or keyword overrides")
+            raise TypeError(
+                f"pass either a {self.config_type.__name__} or keyword overrides"
+            )
         self.config = config
         self.stats = ServiceStats()
+        self.started_at: float | None = None
+        self.draining = False
+        self._httpd: _Listener | None = None
+        self._serve_thread: threading.Thread | None = None
+        self._stop_requested = threading.Event()
+
+    # -- lifecycle -------------------------------------------------------
+    @property
+    def port(self) -> int:
+        """The bound port (meaningful after :meth:`start`)."""
+        if self._httpd is None:
+            return self.config.port
+        return self._httpd.server_address[1]
+
+    def start(self) -> "HTTPFront":
+        """Bind, then start the front's backends and the accept loop.
+
+        The bind comes first: a busy port raises :class:`OSError` before
+        any thread, worker process or process-global recorder exists.
+        """
+        if self._httpd is not None:
+            raise ServiceError("service already started")
+        self._httpd = _Listener((self.config.host, self.config.port), self)
+        try:
+            self._open()
+        except BaseException:
+            self._httpd.server_close()
+            self._httpd = None
+            raise
+        self.started_at = time.time()
+        self._serve_thread = threading.Thread(
+            target=self._httpd.serve_forever,
+            kwargs={"poll_interval": 0.1},
+            name="repro-service-accept",
+        )
+        self._serve_thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Drain-then-exit: refuse new work, finish admitted work, close."""
+        if self._httpd is None:
+            return
+        self.draining = True
+        self._drain()
+        self._httpd.shutdown()
+        # server_close joins the per-connection handler threads
+        # (block_on_close), so no response is cut off mid-write.
+        self._httpd.server_close()
+        self._serve_thread.join(timeout=self.config.drain_timeout_s)
+        self._httpd = None
+        self._serve_thread = None
+
+    def serve(self) -> int:
+        """Blocking entry point with SIGINT/SIGTERM drain-then-exit."""
+        self.start()
+
+        def _request_stop(signum, _frame):
+            self.stats.bump(f"signal.{signal.Signals(signum).name}")
+            self._stop_requested.set()
+
+        previous = {
+            sig: signal.signal(sig, _request_stop)
+            for sig in (signal.SIGINT, signal.SIGTERM)
+        }
+        print(
+            f"repro service listening on http://{self.config.host}:{self.port} "
+            f"({self._banner()})",
+            flush=True,
+        )
+        try:
+            # Timed wait, not a bare .wait(): the kernel may deliver the
+            # signal to a busy handler thread, and the Python-level
+            # handler only ever runs on the main thread — which must
+            # re-enter the eval loop for that to happen.  An untimed
+            # semaphore wait never does, and the daemon ignores SIGTERM
+            # under load.
+            while not self._stop_requested.wait(timeout=0.2):
+                pass
+        finally:
+            print("repro service draining...", flush=True)
+            self.stop()
+            for sig, old in previous.items():
+                signal.signal(sig, old)
+            for line in self._exit_report():
+                print(line, flush=True)
+            print("repro service stopped.", flush=True)
+        return 0
+
+    def _open(self) -> None:
+        """Start the backends; the port is already bound."""
+
+    def _drain(self) -> None:
+        """Finish admitted work; ``draining`` is already set."""
+
+    def _banner(self) -> str:
+        """The configuration summary the listening banner shows."""
+        raise NotImplementedError
+
+    def _exit_report(self) -> list[str]:
+        """Lines ``serve`` prints once drained."""
+        return []
+
+    # -- payloads --------------------------------------------------------
+    def uptime_s(self) -> float:
+        if self.started_at is None:
+            return 0.0
+        return round(time.time() - self.started_at, 3)
+
+    def health_payload(self) -> dict:
+        return {"status": "draining" if self.draining else "ok"}
+
+    def version_payload(self) -> dict:
+        from repro.runtime.serialize import FORMAT_VERSION, PROGRAM_FORMAT_VERSION
+
+        payload = {
+            "version": repro.__version__,
+            "plan_format": FORMAT_VERSION,
+            "program_format": PROGRAM_FORMAT_VERSION,
+        }
+        if self.mode is not None:
+            payload["mode"] = self.mode
+        return payload
+
+    def stats_payload(self) -> dict:
+        """The ``/stats`` body; needs ``uptime_s``, ``draining`` and
+        ``queue`` (``depth``, ``in_flight``, ``rejected``) for /metrics."""
+        raise NotImplementedError
+
+    def metric_lines(self, stats: dict) -> list[str]:
+        """The front's own series, after the shared uptime/queue gauges."""
+        raise NotImplementedError
+
+    def metrics_text(self) -> str:
+        """Prometheus-style exposition of :meth:`stats_payload`."""
+        stats = self.stats_payload()
+        queue = stats["queue"]
+        lines = [
+            "# TYPE repro_service_uptime_seconds gauge",
+            f"repro_service_uptime_seconds {stats['uptime_s']}",
+            f"repro_service_draining {int(stats['draining'])}",
+            f"repro_service_queue_depth {queue['depth']}",
+            f"repro_service_queue_in_flight {queue['in_flight']}",
+            f"repro_service_queue_rejected_total {queue['rejected']}",
+            *self.metric_lines(stats),
+        ]
+        return "\n".join(lines) + "\n"
+
+    def post(self, path: str, raw: bytes) -> tuple[int, dict[str, str], bytes]:
+        """Answer one ``POST /map`` or ``/remap`` body: (status, headers, body).
+
+        Raise a :class:`ServiceError` (or any exception) to answer an
+        error; the handler maps it.
+        """
+        raise NotImplementedError
+
+
+class MappingService(HTTPFront):
+    """The daemon: owns the HTTP front, workers, cache, and stats."""
+
+    def __init__(self, config: ServiceConfig | None = None, **overrides):
+        super().__init__(config, **overrides)
+        config = self.config
         self.cache = MappingCache(
             capacity=config.lru_capacity,
             directory=config.cache_dir,
@@ -206,100 +423,38 @@ class MappingService:
             queue_size=config.queue_size,
             workers=config.workers,
         )
-        self.started_at: float | None = None
-        self.draining = False
-        self._httpd: ThreadingHTTPServer | None = None
-        self._serve_thread: threading.Thread | None = None
         self._own_recorder: obs.Recorder | None = None
         self._trace_dir = os.environ.get(TRACE_DIR_ENV) or None
         self._trace_lock = threading.Lock()
-        self._stop_requested = threading.Event()
 
     # -- lifecycle -------------------------------------------------------
-    @property
-    def port(self) -> int:
-        """The bound port (meaningful after :meth:`start`)."""
-        if self._httpd is None:
-            return self.config.port
-        return self._httpd.server_address[1]
-
-    def start(self) -> "MappingService":
-        """Bind, start workers and the accept loop; returns immediately."""
-        if self._httpd is not None:
-            raise ServiceError("service already started")
+    def _open(self) -> None:
         if self._trace_dir:
             os.makedirs(self._trace_dir, exist_ok=True)
         elif self.config.collect_obs and not obs.enabled():
             # A sink-less recorder: pipeline decision counters accumulate
             # for /metrics without paying for span serialization.
             self._own_recorder = obs.configure()
-        handler = _make_handler(self)
-        self._httpd = _ServiceHTTPServer(
-            (self.config.host, self.config.port), handler
-        )
         self.admission.start()
-        self.started_at = time.time()
-        self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="repro-service-accept",
-        )
-        self._serve_thread.start()
-        return self
 
-    def stop(self) -> None:
-        """Drain-then-exit: reject new work, finish admitted work, close."""
-        if self._httpd is None:
-            return
-        self.draining = True
+    def _drain(self) -> None:
         self.admission.stop(timeout=self.config.drain_timeout_s)
-        self._httpd.shutdown()
-        # server_close joins the per-connection handler threads
-        # (block_on_close), so no response is cut off mid-write.
-        self._httpd.server_close()
-        self._serve_thread.join(timeout=self.config.drain_timeout_s)
-        self._httpd = None
-        self._serve_thread = None
         if self._own_recorder is not None:
             if obs.get_recorder() is self._own_recorder:
                 self.stats.merge_obs(self._own_recorder.counters)
                 obs.shutdown()
             self._own_recorder = None
 
-    def serve(self) -> int:
-        """Blocking entry point with SIGINT/SIGTERM drain-then-exit."""
-        self.start()
-
-        def _request_stop(signum, _frame):
-            self.stats.bump(f"signal.{signal.Signals(signum).name}")
-            self._stop_requested.set()
-
-        previous = {
-            sig: signal.signal(sig, _request_stop)
-            for sig in (signal.SIGINT, signal.SIGTERM)
-        }
-        print(
-            f"repro service listening on http://{self.config.host}:{self.port} "
-            f"(queue={self.config.queue_size}, workers={self.config.workers}, "
-            f"cache={'lru+disk' if self.cache.persistent else 'lru'})",
-            flush=True,
+    def _banner(self) -> str:
+        return (
+            f"queue={self.config.queue_size}, workers={self.config.workers}, "
+            f"cache={'lru+disk' if self.cache.persistent else 'lru'}"
         )
-        try:
-            # Timed wait, not a bare .wait(): the kernel may deliver the
-            # signal to a busy handler thread, and the Python-level
-            # handler only ever runs on the main thread — which must
-            # re-enter the eval loop for that to happen.  An untimed
-            # semaphore wait never does, and the daemon ignores SIGTERM
-            # under load.
-            while not self._stop_requested.wait(timeout=0.2):
-                pass
-        finally:
-            print("repro service draining...", flush=True)
-            self.stop()
-            for sig, old in previous.items():
-                signal.signal(sig, old)
-            print("repro service stopped.", flush=True)
-        return 0
+
+    def post(self, path: str, raw: bytes) -> tuple[int, dict[str, str], bytes]:
+        handler = self.handle_remap if path == "/remap" else self.handle_map
+        status, body = handler(decode_body(raw))
+        return status, {}, json.dumps(body).encode()
 
     # -- request processing ---------------------------------------------
     def handle_map(self, payload: dict) -> tuple[int, dict]:
@@ -525,14 +680,12 @@ class MappingService:
         self.stats.merge_obs(counters)
         return result
 
-    # -- introspection endpoints ----------------------------------------
+    # -- payloads --------------------------------------------------------
     def stats_payload(self) -> dict:
         payload = self.stats.snapshot()
         payload.update(
             version=repro.__version__,
-            uptime_s=round(time.time() - self.started_at, 3)
-            if self.started_at
-            else 0.0,
+            uptime_s=self.uptime_s(),
             draining=self.draining,
             queue={
                 "size": self.config.queue_size,
@@ -546,21 +699,9 @@ class MappingService:
         )
         return payload
 
-    def metrics_text(self) -> str:
-        """Prometheus-style exposition of service + obs counters."""
-        stats = self.stats_payload()
-        lines = [
-            "# TYPE repro_service_uptime_seconds gauge",
-            f"repro_service_uptime_seconds {stats['uptime_s']}",
-            f"repro_service_draining {int(stats['draining'])}",
-            f"repro_service_queue_depth {stats['queue']['depth']}",
-            f"repro_service_queue_in_flight {stats['queue']['in_flight']}",
-            f"repro_service_queue_rejected_total {stats['queue']['rejected']}",
-        ]
-        for name, value in sorted(stats["counters"].items()):
-            metric = name.replace(".", "_").replace("-", "_")
-            lines.append(f"repro_service_{metric}_total {value}")
+    def metric_lines(self, stats: dict) -> list[str]:
         cache = stats["cache"]
+        lines = counter_lines("repro_service", stats["counters"])
         for tier in ("memory", "disk"):
             lines.append(
                 f'repro_service_cache_hits_total{{tier="{tier}"}} '
@@ -568,13 +709,7 @@ class MappingService:
             )
         lines.append(f"repro_service_cache_misses_total {cache['misses']}")
         lines.append(f"repro_service_cache_entries {cache['entries']}")
-        latency = stats["latency"]
-        for key in ("p50_ms", "p95_ms", "max_ms"):
-            if key in latency:
-                lines.append(
-                    f"repro_service_latency_{key.replace('_ms', '')}_ms "
-                    f"{latency[key]}"
-                )
+        lines += latency_lines("repro_service", stats["latency"])
         obs_counters = dict(self.stats.obs_counters)
         recorder = obs.get_recorder()
         if recorder is not None and recorder is self._own_recorder:
@@ -582,127 +717,113 @@ class MappingService:
                 obs_counters[name] = obs_counters.get(name, 0) + value
         for name, value in sorted(obs_counters.items()):
             lines.append(f'repro_obs_counter{{name="{name}"}} {value}')
-        return "\n".join(lines) + "\n"
+        return lines
 
 
 # -- HTTP plumbing -------------------------------------------------------
-class _ServiceHTTPServer(ThreadingHTTPServer):
-    """The daemon's listener with a burst-proof accept backlog.
+class _Listener(ThreadingHTTPServer):
+    """The one listener, with a burst-proof accept backlog.
 
     The stdlib default (``request_queue_size = 5``) resets connections
-    when more than a handful of clients connect in the same instant.
+    when more than a handful of clients connect in the same instant.  The
+    port is never shared with another socket: a second front on a
+    serving port fails to bind instead of splitting its connections.
     """
 
     request_queue_size = 128
 
+    def __init__(self, address: tuple[str, int], front: HTTPFront):
+        self.front = front
+        super().__init__(address, _Handler)
 
-def _make_handler(service: MappingService):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        server_version = f"repro-service/{repro.__version__}"
 
-        def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-            if not service.config.quiet:
-                BaseHTTPRequestHandler.log_message(self, format, *args)
+class _NoRoute(ServiceError):
+    status = 404
 
-        # -- helpers ---------------------------------------------------
-        def _send_json(
-            self, status: int, body: dict, headers: dict | None = None
-        ) -> None:
-            data = json.dumps(body).encode()
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(data)
 
-        def _send_error_json(self, error: Exception) -> None:
-            if isinstance(error, ServiceError):
-                status = error.status
-                headers = {}
-                if error.retry_after is not None:
-                    headers["Retry-After"] = str(error.retry_after)
-                service.stats.bump(f"http.{status}")
-                self._send_json(
-                    status, {"ok": False, "error": str(error)}, headers
-                )
-                return
-            if isinstance(error, ReproError):
-                service.stats.bump("http.400")
-                self._send_json(400, {"ok": False, "error": str(error)})
-                return
-            service.stats.bump("http.500")
-            self._send_json(
-                500,
-                {"ok": False, "error": f"{type(error).__name__}: {error}"},
+class _Handler(BaseHTTPRequestHandler):
+    """The one request handler: routes, body checks, error mapping."""
+
+    protocol_version = "HTTP/1.1"
+    server_version = f"repro-service/{repro.__version__}"
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+        if not self.server.front.config.quiet:
+            BaseHTTPRequestHandler.log_message(self, format, *args)
+
+    def _send(
+        self,
+        status: int,
+        data: bytes,
+        headers: dict[str, str] | None = None,
+        content_type: str = "application/json",
+    ) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(data)
+
+    def _answer_error(self, error: Exception) -> None:
+        """The one error mapping; counts ``http.<status>`` once."""
+        headers = {}
+        if isinstance(error, ServiceError):
+            status, message = error.status, str(error)
+            if error.retry_after is not None:
+                headers["Retry-After"] = str(error.retry_after)
+        elif isinstance(error, ReproError):
+            status, message = 400, str(error)
+        else:
+            status, message = 500, f"{type(error).__name__}: {error}"
+        self.server.front.stats.bump(f"http.{status}")
+        body = json.dumps({"ok": False, "error": message}).encode()
+        self._send(status, body, headers)
+
+    def _read_body(self) -> bytes:
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            raise BadRequest("malformed Content-Length header") from None
+        if length <= 0:
+            raise BadRequest("empty request body")
+        if length > MAX_BODY_BYTES:
+            raise BadRequest(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES} byte limit"
             )
+        return self.rfile.read(length)
 
-        # -- verbs -----------------------------------------------------
-        def do_GET(self) -> None:  # noqa: N802 - stdlib casing
-            path = self.path.split("?", 1)[0]
-            if path == "/healthz":
-                status = "draining" if service.draining else "ok"
-                self._send_json(200, {"status": status})
-            elif path == "/stats":
-                self._send_json(200, service.stats_payload())
-            elif path == "/metrics":
-                data = service.metrics_text().encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "text/plain; version=0.0.4")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-            elif path == "/version":
-                from repro.runtime.serialize import (
-                    FORMAT_VERSION,
-                    PROGRAM_FORMAT_VERSION,
-                )
+    def do_GET(self) -> None:  # noqa: N802 - stdlib casing
+        front = self.server.front
+        path = self.path.split("?", 1)[0]
+        if path == "/metrics":
+            data = front.metrics_text().encode()
+            self._send(200, data, content_type="text/plain; version=0.0.4")
+            return
+        payload = {
+            "/healthz": front.health_payload,
+            "/stats": front.stats_payload,
+            "/version": front.version_payload,
+        }.get(path)
+        if payload is None:
+            self._answer_error(_NoRoute(f"no route {path!r}"))
+        else:
+            self._send(200, json.dumps(payload()).encode())
 
-                self._send_json(
-                    200,
-                    {
-                        "version": repro.__version__,
-                        "plan_format": FORMAT_VERSION,
-                        "program_format": PROGRAM_FORMAT_VERSION,
-                    },
-                )
-            else:
-                self._send_json(404, {"ok": False, "error": f"no route {path!r}"})
-
-        def do_POST(self) -> None:  # noqa: N802 - stdlib casing
-            path = self.path.split("?", 1)[0]
-            routes = {"/map": service.handle_map, "/remap": service.handle_remap}
-            handler = routes.get(path)
-            if handler is None:
-                self._send_json(404, {"ok": False, "error": f"no route {path!r}"})
-                return
-            from repro.service.protocol import BadRequest
-
-            try:
-                try:
-                    length = int(self.headers.get("Content-Length", 0))
-                except ValueError:
-                    raise BadRequest("malformed Content-Length header") from None
-                if length <= 0:
-                    raise BadRequest("empty request body")
-                if length > MAX_BODY_BYTES:
-                    raise BadRequest(
-                        f"request body of {length} bytes exceeds the "
-                        f"{MAX_BODY_BYTES} byte limit"
-                    )
-                try:
-                    payload = json.loads(self.rfile.read(length))
-                except json.JSONDecodeError as error:
-                    raise BadRequest(f"malformed JSON body: {error}") from None
-                status, body = handler(payload)
-                service.stats.bump(f"http.{status}")
-                self._send_json(status, body)
-            except Exception as error:  # noqa: BLE001 - boundary
-                self._send_error_json(error)
-
-    return Handler
+    def do_POST(self) -> None:  # noqa: N802 - stdlib casing
+        front = self.server.front
+        path = self.path.split("?", 1)[0]
+        try:
+            if path not in ("/map", "/remap"):
+                raise _NoRoute(f"no route {path!r}")
+            status, headers, data = front.post(path, self._read_body())
+        except Exception as error:  # noqa: BLE001 - transport boundary
+            self._answer_error(error)
+            return
+        front.stats.bump(f"http.{status}")
+        self._send(status, data, headers)
 
 
 def _default_workers() -> int:

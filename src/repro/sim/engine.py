@@ -24,9 +24,8 @@ touching the shared dict caches in exactly the oracle's order, which
 makes the result bit-identical (cycles, per-level hits/misses/evictions,
 final cache state).  ``SimConfig.backend`` selects: ``python`` is the
 oracle, ``numpy`` the vectorized batch engine, ``auto`` (default) picks
-the batch engine whenever contention modeling is off
-(``port_occupancy == 0``), vectorized when numpy imports and in
-scalar-batched form otherwise.
+the batch engine when numpy imports and contention modeling is off
+(``port_occupancy == 0``), and the oracle otherwise.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 
 from repro import obs
 from repro.errors import SimulationError
@@ -81,7 +79,7 @@ class SimConfig:
 
 
 def _resolve_engine(config: SimConfig) -> str:
-    """Pick the engine: ``python`` (oracle), ``numpy`` or ``scalar`` batch.
+    """Pick the engine: ``python`` (the oracle) or ``numpy`` (batched).
 
     Contention modeling (``port_occupancy > 0``) couples every access's
     cost to the global interleaving, so only the oracle models it; asking
@@ -102,7 +100,7 @@ def _resolve_engine(config: SimConfig) -> str:
     if config.backend == "numpy":
         kernels.resolve_backend("numpy")  # raises KernelError without numpy
         return "numpy"
-    return "numpy" if kernels.have_numpy() else "scalar"
+    return "numpy" if kernels.have_numpy() else "python"
 
 
 def simulate_plan(
@@ -141,7 +139,7 @@ def simulate_plan(
                 traces = build_traces(plan, layout, msim.line_shift)
             result = _run_engine(plan, msim, config, traces)
         else:
-            result = _run_engine_batched(plan, msim, config, layout, engine == "numpy")
+            result = _run_engine_batched(plan, msim, config, layout)
         sim_span.tag(
             cycles=result.cycles,
             accesses=result.total_accesses,
@@ -215,7 +213,6 @@ def _run_engine_batched(
     msim: MachineSim,
     config: SimConfig,
     layout: MemoryLayout,
-    use_numpy: bool,
 ) -> SimResult:
     """Batch private levels, heap-replay only the shared-probe chunks.
 
@@ -234,22 +231,7 @@ def _run_engine_batched(
     from repro.kernels import cachesim
 
     with obs.span("sim.trace_build"):
-        if use_numpy:
-            streams, offsets = cachesim.build_traces_numpy(
-                plan, layout, msim.line_shift
-            )
-        else:
-            traces = build_traces(plan, layout, msim.line_shift)
-            streams = []
-            offsets = []
-            for core_trace in traces:
-                flat: list[int] = []
-                offs = [0]
-                for lines in core_trace:
-                    flat.extend(lines)
-                    offs.append(len(flat))
-                streams.append(flat)
-                offsets.append(offs)
+        streams, offsets = cachesim.build_traces_numpy(plan, layout, msim.line_shift)
 
     issue = config.issue_cycles
     memory_latency = msim.memory_latency
@@ -261,16 +243,10 @@ def _run_engine_batched(
                 (k for k, entry in enumerate(path) if entry[3]), len(path)
             )
             private_path, shared_path = path[:split], path[split:]
-            if use_numpy:
-                cum, shared_pos, shared_lines = _private_pass_numpy(
-                    private_path, stream, issue,
-                    memory_latency if not shared_path else None,
-                )
-            else:
-                cum, shared_pos, shared_lines = _private_pass_scalar(
-                    private_path, stream, issue,
-                    memory_latency if not shared_path else None,
-                )
+            cum, shared_pos, shared_lines = _private_pass(
+                private_path, stream, issue,
+                memory_latency if not shared_path else None,
+            )
             probe_path = tuple((entry[0], entry[1]) for entry in shared_path)
             per_core.append(
                 (cum, shared_pos, shared_lines, offsets[core], probe_path)
@@ -284,7 +260,7 @@ def _run_engine_batched(
     return _collect_result(plan, msim, core_time, total, barriers, barrier_cycles)
 
 
-def _private_pass_numpy(private_path, stream, issue: int, tail_latency):
+def _private_pass(private_path, stream, issue: int, tail_latency):
     """Per-access fixed costs after batching the private levels.
 
     Returns ``(cum, shared_pos, shared_lines)``: ``cum[i]`` is the summed
@@ -305,7 +281,7 @@ def _private_pass_numpy(private_path, stream, issue: int, tail_latency):
     for cache, latency, _uid, _shared in private_path:
         if len(level_stream) == 0:
             break
-        hits = cachesim.simulate_level(cache, level_stream, True)
+        hits = cachesim.simulate_level(cache, level_stream)
         if isinstance(hits, list):
             hits = np.asarray(hits, dtype=bool)
         if idx is None:
@@ -327,44 +303,6 @@ def _private_pass_numpy(private_path, stream, issue: int, tail_latency):
         shared_pos = idx.tolist()
         shared_lines = level_stream.tolist()
     cum = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(cost))).tolist()
-    return cum, shared_pos, shared_lines
-
-
-def _private_pass_scalar(private_path, stream, issue: int, tail_latency):
-    """Scalar-batched twin of :func:`_private_pass_numpy` (no numpy)."""
-    from repro.kernels import cachesim
-
-    n = len(stream)
-    cost = [issue] * n
-    idx: list[int] | None = None
-    level_stream = stream
-    for cache, latency, _uid, _shared in private_path:
-        if not level_stream:
-            break
-        hits = cachesim.simulate_level(cache, level_stream, False)
-        next_stream: list[int] = []
-        next_idx: list[int] = []
-        for k, line in enumerate(level_stream):
-            position = idx[k] if idx is not None else k
-            if hits[k]:
-                cost[position] += latency
-            else:
-                next_idx.append(position)
-                next_stream.append(line)
-        idx = next_idx
-        level_stream = next_stream
-    if idx is None:
-        idx = list(range(n))
-        level_stream = list(stream)
-    if tail_latency is not None:
-        for position in idx:
-            cost[position] += tail_latency
-        shared_pos: list[int] = []
-        shared_lines: list[int] = []
-    else:
-        shared_pos = idx
-        shared_lines = level_stream
-    cum = list(accumulate(cost, initial=0))
     return cum, shared_pos, shared_lines
 
 

@@ -8,8 +8,8 @@ machines with shared and fully private hierarchies, randomized plans and
 quantum settings.  The kernel-level tests additionally compare the
 vectorized LRU pass against the dict reference on adversarial streams.
 
-These run under tier-1 with and without numpy (the no-numpy CI job
-exercises the batched *scalar* engine through the same assertions).
+These run under tier-1 with and without numpy (without numpy, ``auto``
+runs the oracle, so the no-numpy CI job skips the numpy-only cases).
 """
 
 import random
@@ -93,6 +93,21 @@ class TestBackendSelection:
         plan = base_plan(fig5_program.nests[0], fig9_machine)
         with pytest.raises(KernelError):
             simulate_plan(plan, config=SimConfig(backend="numpy"))
+
+    def test_auto_without_numpy_runs_the_oracle(
+        self, fig5_program, fig9_machine, monkeypatch
+    ):
+        from repro import obs
+        from repro.obs.sinks import CollectorSink
+
+        monkeypatch.setattr(kernels, "_numpy_probe", False)
+        plan = base_plan(fig5_program.nests[0], fig9_machine)
+        with obs.tracing(CollectorSink()) as recorder:
+            simulate_plan(plan, config=SimConfig(backend="auto"))
+        engines = {
+            name for name in recorder.counters if name.startswith("sim.backend.")
+        }
+        assert engines == {"sim.backend.python"}
 
     def test_port_occupancy_rejects_numpy_backend(
         self, fig5_program, fig9_machine
@@ -201,7 +216,7 @@ class TestDifferential:
 
 
 class TestScalarBatchedEngine:
-    """The batched engine with numpy unavailable (the no-numpy CI path)."""
+    """``auto`` with numpy unavailable (the no-numpy CI path): the oracle."""
 
     def test_matches_oracle(self, stencil_program, fig9_machine, monkeypatch):
         monkeypatch.setattr(kernels, "_numpy_probe", False)
@@ -229,9 +244,7 @@ class TestKernelDifferential:
         import numpy as np
 
         ref_hits = [ref.access(line) for line in lines]
-        vec_hits = kc.simulate_level(
-            vec, np.array(lines, dtype=np.int64), use_numpy=True
-        )
+        vec_hits = kc.simulate_level(vec, np.array(lines, dtype=np.int64))
         assert list(vec_hits) == ref_hits
         assert (ref.hits, ref.misses, ref.evictions) == (
             vec.hits, vec.misses, vec.evictions,

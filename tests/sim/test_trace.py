@@ -85,8 +85,6 @@ parallel for (i = 0; i < 16; i++)
 """
 
 
-# Tagging a non-rectangular nest takes the scalar path and says so.
-@pytest.mark.filterwarnings("ignore:repro.kernels. scalar fallback:RuntimeWarning")
 class TestRunTraceDifferential:
     """``build_traces_numpy`` (one ``repeat`` + ``arange`` expansion per
     core, unravelled by the strides) against ``build_traces`` fed by the
