@@ -10,10 +10,10 @@ of distinct blocks a single iteration can touch) must fit in L1.
 Tagging is the hottest path of the whole pass (O(K * references) work),
 so it is backed by the vectorized kernel layer: ``backend="auto"`` (the
 default) uses :func:`repro.kernels.tagging.tag_iterations_numpy` when
-NumPy is available, falling back to the scalar reference below for
-non-rectangular spaces or tags beyond the lane budget.  The scalar code
-is the oracle — the differential tests in ``tests/kernels/`` pin the two
-backends to bit-identical :class:`~repro.blocks.groups.GroupSet`\\ s.
+NumPy is available, running the scalar reference below for
+non-rectangular spaces.  The scalar code is the oracle — the
+differential tests in ``tests/kernels/`` pin the two backends to
+bit-identical :class:`~repro.blocks.groups.GroupSet`\\ s.
 
 Both of the above assume affine references.  :func:`tag_iterations` is
 the access-analysis seam (:mod:`repro.blocks.analysis`): nests with

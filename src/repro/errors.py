@@ -87,8 +87,7 @@ class BlockingError(ReproError):
 
 class KernelError(ReproError):
     """Errors from the vectorized kernel layer (``repro.kernels``):
-    unknown backend names, a requested backend that is unavailable, or
-    tags that do not fit the requested lane budget."""
+    unknown backend names or a requested backend that is unavailable."""
 
 
 class MappingError(ReproError):

@@ -1,31 +1,29 @@
-"""Vectorized kernels for the hot tagging/affinity paths.
+"""Vectorized kernels for the paths that walk the iteration space K.
 
-The three hottest paths of the pass — iteration tagging
-(:mod:`repro.blocks.tagger`), greedy clustering
-(:mod:`repro.mapping.clustering`) and local scheduling
-(:mod:`repro.mapping.schedule`) — evaluate affine subscripts and tag dot
-products one Python integer at a time over the full iteration space K.
-This package provides NumPy bulk equivalents: affine offset forms are
-evaluated as array operations over the whole iteration space, and tags
-are packed into fixed-width ``uint64`` lanes so dot products and Hamming
-distances become popcounts over small arrays
-(:mod:`repro.kernels.lanes`, :mod:`repro.kernels.affinity`).
+Iteration tagging (:mod:`repro.blocks.tagger`) evaluates every
+reference's affine subscript at every point of K, and the batched cache
+simulator (:mod:`repro.kernels.cachesim`) replays every access of a
+plan.  This package provides their NumPy bulk forms: affine offset forms
+are evaluated as array operations over the whole iteration space
+(:mod:`repro.kernels.tagging`), and access streams are filtered and
+replayed level by level as arrays.  Tags themselves stay Python
+integers everywhere: a tag dot product is one AND plus a C-speed
+popcount, so the mapping layer has a single scalar implementation.
 
 Every vectorized entry point is *bit-identical* to the scalar reference
 implementation it accelerates; the scalar code stays in place as the
 oracle, and the differential tests under ``tests/kernels/`` assert
-identity on randomized nests.  Callers select the implementation with a
-``backend`` switch:
+identity on randomized nests.  :func:`repro.blocks.tagger.tag_iterations`
+selects the implementation with a ``backend`` switch:
 
 * ``"auto"`` — NumPy when importable, scalar otherwise (the default);
 * ``"python"`` — always the scalar reference;
 * ``"numpy"`` — require NumPy; raise :class:`~repro.errors.KernelError`
   when it is not importable.
 
-Even under ``"numpy"``, individual kernels degrade gracefully to the
-scalar path for inputs they cannot vectorize — tags wider than the lane
-budget, or non-rectangular iteration spaces — because that is a
-data-dependent property, not a configuration error.
+Even under ``"numpy"``, tagging runs the scalar path for a
+non-rectangular iteration space, because that is a property of the
+nest, not a configuration error.
 """
 
 from __future__ import annotations
@@ -37,11 +35,6 @@ from repro.errors import KernelError
 
 BACKENDS = ("auto", "python", "numpy")
 
-#: Widest tag the packed representation will accept, in 64-bit lanes.
-#: 256 lanes = 16384 data blocks; beyond that the dense ``uint64`` rows
-#: stop paying for themselves and the scalar big-int path takes over.
-DEFAULT_MAX_LANES = 256
-
 _numpy_probe: bool | None = None
 
 #: Fallback reasons already reported through :func:`warnings.warn`; each
@@ -52,7 +45,6 @@ _warned_reasons: set[str] = set()
 #: The known scalar-fallback reasons and their one-line explanations.
 FALLBACK_REASONS = {
     "no-numpy": "NumPy is not importable; the scalar reference backend is used",
-    "lane-budget": "tag width exceeds the packed uint64 lane budget",
     "sim-unresolved": (
         "batched LRU filter pass left too much unresolved reuse work; "
         "the scalar level loop is used for this stream"
@@ -64,7 +56,7 @@ def note_fallback(reason: str, where: str) -> None:
     """Record a silent-scalar-fallback event: obs counter + one warning.
 
     ``reason`` is one of :data:`FALLBACK_REASONS`; ``where`` names the
-    call site (e.g. ``"tagging"``, ``"clustering"``).  The counter
+    call site (e.g. ``"resolve_backend"``, ``"sim.level"``).  The counter
     ``kernels.fallback.<reason>`` increments on every event; the
     ``warnings.warn`` fires once per reason per process, so logs state
     which backend actually ran without flooding.
@@ -118,8 +110,3 @@ def resolve_backend(backend: str = "auto") -> str:
     if backend == "numpy" and not have_numpy():
         raise KernelError("backend 'numpy' requested but numpy is not importable")
     return backend
-
-
-def fits_lane_budget(num_bits: int, max_lanes: int = DEFAULT_MAX_LANES) -> bool:
-    """True when a ``num_bits``-wide tag fits the packed lane budget."""
-    return num_bits <= 64 * max_lanes

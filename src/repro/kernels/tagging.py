@@ -13,9 +13,9 @@ order, same idents.
 
 Vectorization applies when the space is rectangular (every loop bound is
 a constant — the overwhelmingly common case after frontend
-normalization) and the partition's tag width fits the lane budget;
-:func:`tag_iterations_numpy` returns ``None`` otherwise and the caller
-falls back to the scalar reference.
+normalization); :func:`tag_iterations_numpy` returns ``None`` otherwise
+and the caller runs the scalar reference.  Tags come out as Python
+integers of any width, so the number of data blocks is unbounded.
 
 This module imports NumPy at module level; import it only after
 :func:`repro.kernels.resolve_backend` picked the numpy backend.
@@ -29,8 +29,6 @@ from repro.errors import BlockingError
 from repro.blocks.datablocks import DataBlockPartition
 from repro.blocks.groups import GroupSet, IterationGroup
 from repro.ir.loops import LoopNest
-from repro.kernels import DEFAULT_MAX_LANES, fits_lane_budget, note_fallback
-from repro.kernels.lanes import lanes_for_bits, pack_tags
 
 
 def iteration_grid(nest: LoopNest) -> "np.ndarray | None":
@@ -53,7 +51,6 @@ def tag_iterations_numpy(
     partition: DataBlockPartition,
     resolved: list[tuple[int, tuple[int, ...], int, int, bool]],
     max_groups: int | None = None,
-    max_lanes: int = DEFAULT_MAX_LANES,
 ) -> GroupSet | None:
     """Bulk tagging; ``None`` when this nest/partition cannot vectorize.
 
@@ -62,9 +59,6 @@ def tag_iterations_numpy(
     with the scalar path).  The caller must already have validated access
     bounds, exactly as the scalar reference requires.
     """
-    if not fits_lane_budget(partition.num_blocks, max_lanes):
-        note_fallback("lane-budget", "tagging")
-        return None
     grid = iteration_grid(nest)
     if grid is None:
         # Loop-variant bounds: the scalar tagger is the designed path,
@@ -210,8 +204,3 @@ def _pair_tags(
     for key in np.unique(keyed[:, columns]).tolist():
         tags[key // stride] |= 1 << (key % stride)
     return tags
-
-
-def pack_group_tags(groups, num_bits: int) -> "np.ndarray":
-    """Packed ``(G, L)`` tag matrix for a sequence of iteration groups."""
-    return pack_tags([g.tag for g in groups], lanes_for_bits(num_bits))

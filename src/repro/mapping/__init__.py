@@ -1,9 +1,9 @@
 """The paper's core contribution: cache topology aware mapping.
 
-* :mod:`repro.mapping.affinity_graph` — the weighted graph over iteration
-  groups (edge weight = common 1 bits between tags, Figure 6 "BuildGraph");
 * :mod:`repro.mapping.clustering` — hierarchical descent of the cache
-  hierarchy tree with dot-product merging (Figure 6);
+  hierarchy tree with dot-product merging (Figure 6); the pair heap it
+  seeds holds every positive edge of the paper's affinity graph
+  ("BuildGraph": edge weight = common 1 bits between tags);
 * :mod:`repro.mapping.balance` — the greedy load-balancing step with the
   tunable balance threshold;
 * :mod:`repro.mapping.dependence` — the iteration-group dependence graph
@@ -18,7 +18,6 @@
   (the paper's ILP stand-in, Figure 20).
 """
 
-from repro.mapping.affinity_graph import AffinityGraph
 from repro.mapping.clustering import hierarchical_distribute
 from repro.mapping.dependence import GroupDependenceGraph, build_group_dependence_graph
 from repro.mapping.schedule import schedule_groups
@@ -26,7 +25,6 @@ from repro.mapping.distribute import ExecutablePlan, MappingResult, TopologyAwar
 from repro.mapping.baselines import base_plan, base_plus_plan, local_plan
 
 __all__ = [
-    "AffinityGraph",
     "hierarchical_distribute",
     "GroupDependenceGraph",
     "build_group_dependence_graph",

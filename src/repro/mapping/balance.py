@@ -50,119 +50,63 @@ def balance_limits(total: int, k: int, threshold: float) -> tuple[float, float]:
     return avg * (1 - threshold), avg * (1 + threshold)
 
 
-def balance_clusters(clusters: list[Cluster], threshold: float) -> None:
-    """Equalize cluster sizes in place to within ``threshold``.
+def balance_clusters(
+    clusters: list[Cluster], threshold: float, targets: list[float] | None = None
+) -> None:
+    """Equalize cluster sizes in place to within ``threshold`` of their targets.
 
-    Follows the paper's greedy scheme: evict from the largest cluster to a
-    below-LowLimit one (falling back to the smallest), preferring the
-    group maximizing the dot product with the recipient; split a group
-    when no whole group keeps both clusters inside the window.  The split
-    fallback guarantees termination: each pass strictly shrinks the
-    largest cluster until it is within UpLimit.
+    Follows the paper's greedy scheme: evict from the most oversized
+    cluster to a below-LowLimit one (falling back to the least filled),
+    preferring the group maximizing the dot product with the recipient;
+    split a group when no whole group keeps both clusters inside their
+    windows.  The split fallback guarantees termination: each pass
+    strictly shrinks the most oversized cluster until it is within its
+    UpLimit.
+
+    ``targets`` weights the clusters (``None``: equally).  The descent
+    passes proportional targets when sibling subtrees own different core
+    counts (a pruned tree after core loss, or an asymmetric hierarchy):
+    cluster i's window is ``share_i * (1 +- threshold)``, with ``share_i``
+    its target's share of the total iterations.
     """
     k = len(clusters)
-    if k <= 1:
-        return
-    total = sum(c.size for c in clusters)
-    low, up = balance_limits(total, k, threshold)
-
-    guard = 0
-    max_steps = 4 * k + 4 * sum(len(c.groups) for c in clusters) + 64
-    with obs.span("balance", clusters=k, total=total, threshold=threshold) as sp:
-        moves = splits = forced = 0
-        while True:
-            donor = max(clusters, key=lambda c: c.size)
-            # Integer sizes vs. a fractional window: stop within one iteration
-            # of the limit, otherwise 1-iteration moves can oscillate forever.
-            if donor.size < up + 1:
-                break
-            guard += 1
-            if guard > max_steps:
-                raise MappingError("load balancing failed to converge")  # pragma: no cover
-            under = [c for c in clusters if c.size < low]
-            recipient = min(under or [c for c in clusters if c is not donor], key=lambda c: c.size)
-
-            # A whole-group move is eligible when both ends stay in the window.
-            eligible = [
-                g
-                for g in donor.groups
-                if donor.size - g.size >= low and recipient.size + g.size <= up
-            ]
-            if eligible:
-                best = max(eligible, key=lambda g: (dot(g.tag, recipient.tag), g.size, -g.ident))
-                donor.remove(best)
-                recipient.add(best)
-                moves += 1
-                continue
-
-            # Split: carve exactly enough iterations to pull the donor to the
-            # average (and never overfill the recipient).
-            need = min(int(donor.size - (low + up) / 2), int(up - recipient.size))
-            need = max(1, need)
-            candidates = [g for g in donor.groups if g.size > 1]
-            if not candidates:
-                # All groups are single iterations but none was eligible:
-                # force-move the best single iteration group.
-                best = max(donor.groups, key=lambda g: (dot(g.tag, recipient.tag), -g.ident))
-                donor.remove(best)
-                recipient.add(best)
-                forced += 1
-                continue
-            victim = max(candidates, key=lambda g: (dot(g.tag, recipient.tag), g.size, -g.ident))
-            cut = min(need, victim.size - 1)
-            moved, kept = victim.split(cut)
-            donor.remove(victim)
-            donor.add(kept)
-            recipient.add(moved)
-            splits += 1
-        sp.tag(moves=moves, splits=splits, forced=forced)
-        obs.count("balance.moves", moves)
-        obs.count("balance.splits", splits)
-        obs.count("balance.forced_moves", forced)
-
-
-def balance_to_targets(clusters: list[Cluster], targets: list[float], threshold: float) -> None:
-    """Equalize cluster sizes in place toward per-cluster ``targets``.
-
-    The weighted variant of :func:`balance_clusters`, used when the
-    cache tree is not level-uniform (e.g. after core loss) and sibling
-    subtrees own different core counts: each cluster's window is
-    ``target * (1 +- threshold)`` instead of a common average.  The
-    move/split/forced scheme — and its termination argument — is the
-    same: every pass strictly shrinks the most-over-window donor.
-    """
-    k = len(clusters)
+    if targets is None:
+        targets = [1] * k
     if k != len(targets):
         raise MappingError(f"{k} clusters but {len(targets)} targets")
     if k <= 1:
         return
     if not 0 <= threshold < 1:
         raise MappingError(f"balance threshold must be in [0, 1), got {threshold}")
-    total = sum(c.size for c in clusters)
     if any(t <= 0 for t in targets):
         raise MappingError("balance targets must be positive")
+    total = sum(c.size for c in clusters)
+    # With equal targets, scale is the common average total / k exactly.
     scale = total / sum(targets)
     limits = [(t * scale * (1 - threshold), t * scale * (1 + threshold)) for t in targets]
 
     guard = 0
     max_steps = 4 * k + 4 * sum(len(c.groups) for c in clusters) + 64
-    with obs.span("balance.targets", clusters=k, total=total, threshold=threshold) as sp:
+    with obs.span("balance", clusters=k, total=total, threshold=threshold) as sp:
         moves = splits = forced = 0
         while True:
             di = max(range(k), key=lambda i: clusters[i].size - limits[i][1])
             donor = clusters[di]
             low_d, up_d = limits[di]
+            # Integer sizes vs. a fractional window: stop within one iteration
+            # of the limit, otherwise 1-iteration moves can oscillate forever.
             if donor.size < up_d + 1:
                 break
             guard += 1
             if guard > max_steps:
-                raise MappingError("weighted balancing failed to converge")  # pragma: no cover
+                raise MappingError("load balancing failed to converge")  # pragma: no cover
             under = [i for i in range(k) if clusters[i].size < limits[i][0]]
             pool = under or [i for i in range(k) if i != di]
             ri = min(pool, key=lambda i: (clusters[i].size - limits[i][0], i))
             recipient = clusters[ri]
-            low_r, up_r = limits[ri]
+            up_r = limits[ri][1]
 
+            # A whole-group move is eligible when both ends stay in their windows.
             eligible = [
                 g
                 for g in donor.groups
@@ -175,10 +119,14 @@ def balance_to_targets(clusters: list[Cluster], targets: list[float], threshold:
                 moves += 1
                 continue
 
+            # Split: carve exactly enough iterations to pull the donor to its
+            # target (and never overfill the recipient).
             need = min(int(donor.size - (low_d + up_d) / 2), int(up_r - recipient.size))
             need = max(1, need)
             candidates = [g for g in donor.groups if g.size > 1]
             if not candidates:
+                # All groups are single iterations but none was eligible:
+                # force-move the best single iteration group.
                 best = max(donor.groups, key=lambda g: (dot(g.tag, recipient.tag), -g.ident))
                 donor.remove(best)
                 recipient.add(best)

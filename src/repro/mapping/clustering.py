@@ -19,13 +19,12 @@ from repro import obs
 from repro.errors import MappingError
 from repro.blocks.groups import IterationGroup
 from repro.blocks.tags import dot
-from repro.kernels import fits_lane_budget, note_fallback, resolve_backend
-from repro.mapping.balance import Cluster, balance_clusters, balance_to_targets
+from repro.mapping.balance import Cluster, balance_clusters
 from repro.topology.tree import Machine, TopologyNode
 
 
 def cluster_one_level(
-    groups: Sequence[IterationGroup], k: int, threshold: float, backend: str = "auto"
+    groups: Sequence[IterationGroup], k: int, threshold: float
 ) -> list[Cluster]:
     """Cluster a set of iteration groups into exactly ``k`` clusters.
 
@@ -39,13 +38,8 @@ def cluster_one_level(
     clustered in one shot.  This is what makes the hierarchy depth matter
     (the paper's Figure 20): a deeper tree hands the algorithm a sequence
     of small-fan-out decisions instead of one noisy flat cut.
-
-    ``backend`` selects how the O(G^2) pair affinities are computed (see
-    :mod:`repro.kernels`); the merge sequence — and therefore the result —
-    is identical for every backend, because heap entries are the same
-    exact integers either way.
     """
-    result = _cluster_to_k(groups, k, backend)
+    result = _cluster_to_k(groups, k)
     balance_clusters(result, threshold)
     return result
 
@@ -54,7 +48,6 @@ def cluster_weighted(
     groups: Sequence[IterationGroup],
     weights: Sequence[int],
     threshold: float,
-    backend: str = "auto",
 ) -> list[Cluster]:
     """Cluster into ``len(weights)`` clusters sized proportionally to ``weights``.
 
@@ -67,7 +60,7 @@ def cluster_weighted(
     k = len(weights)
     if any(w <= 0 for w in weights):
         raise MappingError(f"cluster weights must be positive, got {list(weights)}")
-    result = _cluster_to_k(groups, k, backend)
+    result = _cluster_to_k(groups, k)
     total = sum(c.size for c in result)
     wsum = sum(weights)
     targets = [total * w / wsum for w in weights]
@@ -79,13 +72,11 @@ def cluster_weighted(
     slots: list[Cluster] = [None] * k  # type: ignore[list-item]
     for slot_index, cluster in zip(slot_order, by_size):
         slots[slot_index] = cluster
-    balance_to_targets(slots, targets, threshold)
+    balance_clusters(slots, threshold, targets)
     return slots
 
 
-def _cluster_to_k(
-    groups: Sequence[IterationGroup], k: int, backend: str = "auto"
-) -> list[Cluster]:
+def _cluster_to_k(groups: Sequence[IterationGroup], k: int) -> list[Cluster]:
     """Greedy merge + split to exactly ``k`` clusters (no balancing)."""
     if k <= 0:
         raise MappingError("cluster count must be positive")
@@ -96,50 +87,22 @@ def _cluster_to_k(
         # cluster is empty and the cores below it idle.
         return [Cluster() for _ in range(k)]
 
-    # Merging only ORs tags together, so the widest input tag bounds every
-    # cluster tag ever formed — the lane budget can be checked up front.
-    use_numpy = resolve_backend(backend) == "numpy" and bool(clusters)
-    if use_numpy:
-        num_bits = max(c.tag.bit_length() for c in clusters)
-        use_numpy = fits_lane_budget(num_bits)
-        if not use_numpy:
-            note_fallback("lane-budget", "clustering")
-    obs.count(f"kernels.backend.{'numpy' if use_numpy else 'python'}")
-    if use_numpy:
-        from repro.kernels.affinity import dot_pairs
-        from repro.kernels.lanes import lanes_for_bits, pack_tags
-
-        packed = pack_tags([c.tag for c in clusters], lanes_for_bits(num_bits))
-
     # Lazy-deletion pair heap keyed by (-dot, combined size, ids).  Pairs
     # with zero affinity are left out: merging unrelated clusters is only a
     # packing decision, handled by the zero-affinity fallback below, and
     # skipping them keeps the heap near-linear for sparse sharing graphs.
-    with obs.span(
-        "affinity.pairs",
-        groups=len(clusters),
-        backend="numpy" if use_numpy else "python",
-    ) as affinity_span:
+    with obs.span("affinity.pairs", groups=len(clusters)) as affinity_span:
         heap: list[tuple[int, int, int, int]] = []
-        if use_numpy:
-            sizes = [c.size for c in clusters]
-            for i, j, weight in zip(*dot_pairs(packed)):
-                heap.append((-weight, sizes[i] + sizes[j], i, j))
-        else:
-            for i in range(len(clusters)):
-                tag_i = clusters[i].tag
-                size_i = clusters[i].size
-                for j in range(i + 1, len(clusters)):
-                    weight = dot(tag_i, clusters[j].tag)
-                    if weight > 0:
-                        heap.append((-weight, size_i + clusters[j].size, i, j))
+        for i in range(len(clusters)):
+            tag_i = clusters[i].tag
+            size_i = clusters[i].size
+            for j in range(i + 1, len(clusters)):
+                weight = dot(tag_i, clusters[j].tag)
+                if weight > 0:
+                    heap.append((-weight, size_i + clusters[j].size, i, j))
         heapq.heapify(heap)
         affinity_span.tag(pairs=len(heap))
 
-    # Incremental pushes after a merge stay scalar on every backend: they
-    # are O(alive) big-int dots against one tag, where the per-call numpy
-    # packing overhead outweighs the vector win for typical tag widths.
-    # The entries are the same exact integers either way.
     def push_pairs(new_index: int) -> None:
         new = clusters[new_index]
         for idx, other in enumerate(clusters):
@@ -230,7 +193,6 @@ def hierarchical_distribute(
     machine: Machine,
     threshold: float = 0.10,
     strategy: str = "greedy",
-    backend: str = "auto",
 ) -> list[list[IterationGroup]]:
     """Figure 6 end to end: groups -> per-core group lists.
 
@@ -248,8 +210,7 @@ def hierarchical_distribute(
     ``strategy`` selects the partitioner at equal-weight nodes:
     ``"greedy"`` is the paper's dot-product merge; ``"kl"`` additionally
     refines every two-way cut with Kernighan-Lin swaps (higher fan-outs
-    always use the greedy merge).  ``backend`` is forwarded to the
-    clustering kernels; it never changes the resulting distribution.
+    always use the greedy merge).
     """
     if not groups:
         raise MappingError("no iteration groups to distribute")
@@ -270,9 +231,9 @@ def hierarchical_distribute(
 
                 clusters = cluster_one_level_kl(current, threshold)
             else:
-                clusters = cluster_one_level(current, len(children), threshold, backend=backend)
+                clusters = cluster_one_level(current, len(children), threshold)
         else:
-            clusters = cluster_weighted(current, weights, threshold, backend=backend)
+            clusters = cluster_weighted(current, weights, threshold)
         out: list[list[IterationGroup]] = []
         for child, cluster in zip(children, clusters):
             out.extend(descend(child, list(cluster.groups)))

@@ -26,55 +26,8 @@ from repro import obs
 from repro.errors import ScheduleError
 from repro.blocks.groups import IterationGroup
 from repro.blocks.tags import dot, ones
-from repro.kernels import fits_lane_budget, note_fallback, resolve_backend
 from repro.mapping.dependence import GroupDependenceGraph
 from repro.topology.tree import Machine
-
-
-class _TagCache:
-    """Scorer state shared by the scheduler's backends.
-
-    Caches the popcount of every group tag and answers "dot of each
-    candidate against one reference tag" queries — as Python big-int
-    popcounts (scalar) or as one vectorized popcount over packed lanes
-    (numpy).  Both return the same exact integers, so the float score
-    arithmetic downstream is bit-identical across backends.
-    """
-
-    def __init__(self, groups: Sequence[IterationGroup], backend: str):
-        self._ones: dict[int, int] = {}
-        self._packed = None
-        self._row: dict[int, int] = {}
-        if resolve_backend(backend) != "numpy" or not groups:
-            return
-        num_bits = max(g.tag.bit_length() for g in groups)
-        if not fits_lane_budget(num_bits):
-            note_fallback("lane-budget", "schedule")
-            return
-        from repro.kernels.lanes import lanes_for_bits, pack_tags, popcount
-
-        self._packed = pack_tags([g.tag for g in groups], lanes_for_bits(num_bits))
-        self._row = {g.ident: i for i, g in enumerate(groups)}
-        counts = popcount(self._packed).sum(axis=1).tolist()
-        self._ones = {g.ident: c for g, c in zip(groups, counts)}
-
-    def ones(self, group: IterationGroup) -> int:
-        count = self._ones.get(group.ident)
-        if count is None:
-            count = ones(group.tag)
-            self._ones[group.ident] = count
-        return count
-
-    def dots(
-        self, candidates: Sequence[IterationGroup], ref: IterationGroup
-    ) -> list[int]:
-        if self._packed is not None:
-            from repro.kernels.affinity import dot_many
-
-            rows = self._packed[[self._row[g.ident] for g in candidates]]
-            return dot_many(self._packed[self._row[ref.ident]], rows).tolist()
-        ref_tag = ref.tag
-        return [dot(g.tag, ref_tag) for g in candidates]
 
 
 @dataclass
@@ -103,7 +56,6 @@ def schedule_groups(
     graph: GroupDependenceGraph | None = None,
     alpha: float = 0.5,
     beta: float = 0.5,
-    backend: str = "auto",
 ) -> list[list[list[IterationGroup]]]:
     """Schedule per-core group lists into rounds.
 
@@ -111,8 +63,6 @@ def schedule_groups(
     that round; a barrier separates consecutive rounds.  ``graph`` must be
     acyclic at group granularity (see
     :meth:`~repro.mapping.dependence.GroupDependenceGraph.acyclified`).
-    ``backend`` selects the tag-dot kernel (see :mod:`repro.kernels`);
-    the resulting schedule is identical for every backend.
     """
     with obs.span(
         "schedule",
@@ -121,7 +71,7 @@ def schedule_groups(
         alpha=alpha,
         beta=beta,
     ) as sp:
-        result = _schedule_groups(assignments, machine, graph, alpha, beta, backend)
+        result = _schedule_groups(assignments, machine, graph, alpha, beta)
         rounds = max((len(core_rounds) for core_rounds in result), default=0)
         sp.tag(rounds=rounds)
         obs.count("schedule.rounds", rounds)
@@ -134,7 +84,6 @@ def _schedule_groups(
     graph: GroupDependenceGraph | None,
     alpha: float,
     beta: float,
-    backend: str,
 ) -> list[list[list[IterationGroup]]]:
     if len(assignments) != machine.num_cores:
         raise ScheduleError(
@@ -170,7 +119,6 @@ def _schedule_groups(
                 if position > 0:
                     req.append(own[position - 1].ident)
                 requirement_of[g.ident] = tuple(req)
-    tag_cache = _TagCache([g for groups in assignments for g in groups], backend)
 
     prev_sched: set[int] = set()
     remaining_total = sum(len(c.remaining) for c in cores)
@@ -198,21 +146,15 @@ def _schedule_groups(
                 def pick_best(candidates: list[IterationGroup]) -> IterationGroup:
                     left_last = left.last_group if left is not None else None
                     own_last = state.last_group
-                    h = tag_cache.dots(candidates, left_last) if left_last is not None else None
-                    v = tag_cache.dots(candidates, own_last) if own_last is not None else None
-                    best_index = 0
-                    best_score: tuple | None = None
-                    for index, group in enumerate(candidates):
-                        horizontal = alpha * h[index] if h is not None else 0.0
-                        vertical = beta * v[index] if v is not None else 0.0
-                        score = (
-                            horizontal + vertical,
-                            -tag_cache.ones(group),
-                            -group.ident,
+
+                    def score(group: IterationGroup) -> tuple:
+                        horizontal = (
+                            alpha * dot(group.tag, left_last.tag) if left_last is not None else 0.0
                         )
-                        if best_score is None or score > best_score:
-                            best_index, best_score = index, score
-                    return candidates[best_index]
+                        vertical = beta * dot(group.tag, own_last.tag) if own_last is not None else 0.0
+                        return (horizontal + vertical, -ones(group.tag), -group.ident)
+
+                    return max(candidates, key=score)
 
                 # Quota: schedule at least one group, then keep catching up
                 # to the pace setter (left neighbor; the first core chases
@@ -232,7 +174,7 @@ def _schedule_groups(
                     if state.last_group is None and position == 0 and took == 0:
                         # Very first pick on the set's lead core: the most
                         # local group (fewest 1 bits in its tag).
-                        best = min(candidates, key=lambda g: (tag_cache.ones(g), g.ident))
+                        best = min(candidates, key=lambda g: (ones(g.tag), g.ident))
                     else:
                         best = pick_best(candidates)
                     state.remaining.remove(best)
@@ -281,7 +223,6 @@ def dependence_only_schedule(
     assignments: Sequence[Sequence[IterationGroup]],
     machine: Machine,
     graph: GroupDependenceGraph | None = None,
-    backend: str = "auto",
 ) -> list[list[list[IterationGroup]]]:
     """Scheduling that honors dependences but ignores locality (α = β = 0).
 
@@ -299,4 +240,4 @@ def dependence_only_schedule(
                 [sorted(groups, key=lambda g: g.iterations[0])] if groups else [[]]
                 for groups in assignments
             ]
-    return schedule_groups(assignments, machine, graph, alpha=0.0, beta=0.0, backend=backend)
+    return schedule_groups(assignments, machine, graph, alpha=0.0, beta=0.0)

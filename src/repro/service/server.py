@@ -766,9 +766,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
-    def _answer_error(self, error: Exception) -> None:
-        """The one error mapping; counts ``http.<status>`` once."""
-        headers = {}
+    def _answer_error(self, error: Exception, close: bool = False) -> None:
+        """The one error mapping; counts ``http.<status>`` once.
+
+        ``close`` ends the connection after the answer (``Connection:
+        close``): a request refused before its body was read leaves that
+        body on the socket, where keep-alive would parse it as the next
+        request line.
+        """
+        headers = {"Connection": "close"} if close else {}
         if isinstance(error, ServiceError):
             status, message = error.status, str(error)
             if error.retry_after is not None:
@@ -815,12 +821,14 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         front = self.server.front
         path = self.path.split("?", 1)[0]
+        raw = None
         try:
             if path not in ("/map", "/remap"):
                 raise _NoRoute(f"no route {path!r}")
-            status, headers, data = front.post(path, self._read_body())
+            raw = self._read_body()
+            status, headers, data = front.post(path, raw)
         except Exception as error:  # noqa: BLE001 - transport boundary
-            self._answer_error(error)
+            self._answer_error(error, close=raw is None)
             return
         front.stats.bump(f"http.{status}")
         self._send(status, data, headers)

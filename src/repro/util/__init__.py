@@ -1,23 +1,9 @@
 """Small shared helpers used across the library."""
 
-from repro.util.bitset import (
-    bit_count,
-    bits_of,
-    dot_product,
-    from_indices,
-    hamming_distance,
-    to_bitstring,
-)
 from repro.util.mathutil import ceil_div, floor_div, gcd_list, lcm_list, sign
 from repro.util.tables import format_table
 
 __all__ = [
-    "bit_count",
-    "bits_of",
-    "dot_product",
-    "from_indices",
-    "hamming_distance",
-    "to_bitstring",
     "ceil_div",
     "floor_div",
     "gcd_list",

@@ -9,13 +9,7 @@ from repro.blocks.tagger import resolve_accesses, tag_iterations
 from repro.ir.accesses import ArrayAccess
 from repro.ir.arrays import Array
 from repro.ir.loops import LoopNest
-from repro.kernels import (
-    BACKENDS,
-    DEFAULT_MAX_LANES,
-    fits_lane_budget,
-    have_numpy,
-    resolve_backend,
-)
+from repro.kernels import BACKENDS, have_numpy, resolve_backend
 from repro.poly.affine import AffineExpr
 from repro.poly.constraints import Constraint
 from repro.poly.intset import IntSet
@@ -92,29 +86,8 @@ class TestResolveBackend:
         assert resolve_backend("numpy") == "numpy"
 
 
-class TestLaneBudget:
-    def test_boundary(self):
-        assert fits_lane_budget(64 * DEFAULT_MAX_LANES)
-        assert not fits_lane_budget(64 * DEFAULT_MAX_LANES + 1)
-
-    def test_custom_budget(self):
-        assert fits_lane_budget(64, max_lanes=1)
-        assert not fits_lane_budget(65, max_lanes=1)
-
-
 @pytest.mark.skipif(not have_numpy(), reason="fallback paths need numpy present")
 class TestGracefulFallback:
-    def test_lane_overflow_returns_none(self):
-        import repro.kernels as kernels
-        from repro.kernels.tagging import tag_iterations_numpy
-
-        nest, part = square_nest(n=8, block_size=64)
-        assert part.num_blocks > 1
-        resolved = resolve_accesses(nest, part)
-        kernels.reset_fallback_warnings()
-        with pytest.warns(RuntimeWarning, match="lane-budget"):
-            assert tag_iterations_numpy(nest, part, resolved, max_lanes=0) is None
-
     def test_non_rectangular_returns_none(self):
         import warnings
 
@@ -144,6 +117,28 @@ class TestGracefulFallback:
         IterationGroup.reset_idents()
         auto = tag_iterations(nest, part, backend="auto")
         assert groupset_fingerprint(scalar) == groupset_fingerprint(auto)
+
+    def test_wide_partition_tags_on_numpy(self):
+        """Tag width has no limit: 18,432 blocks vectorize, silently."""
+        import warnings
+
+        import repro.kernels as kernels
+        from repro import obs
+        from repro.obs.sinks import CollectorSink
+
+        nest, part = square_nest(n=96, block_size=8)
+        assert part.num_blocks > 16_384
+        IterationGroup.reset_idents()
+        scalar = tag_iterations(nest, part, backend="python")
+        IterationGroup.reset_idents()
+        kernels.reset_fallback_warnings()
+        col = CollectorSink()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with obs.tracing(col):
+                wide = tag_iterations(nest, part, backend="numpy")
+        assert col.summary()["counters"].get("kernels.backend.numpy") == 1
+        assert groupset_fingerprint(scalar) == groupset_fingerprint(wide)
 
     def test_max_groups_limit_same_error(self):
         from repro.errors import BlockingError

@@ -5,7 +5,7 @@ import pytest
 
 from repro.blocks.groups import IterationGroup
 from repro.errors import MappingError
-from repro.mapping.balance import Cluster, balance_to_targets
+from repro.mapping.balance import Cluster, balance_clusters
 from repro.mapping.clustering import cluster_weighted, hierarchical_distribute
 
 from tests.conftest import bench_machine
@@ -25,7 +25,7 @@ class TestBalanceToTargets:
             Cluster([group(0b1, 30, 0)]),
             Cluster([group(0b10, 30, 100)]),
         ]
-        balance_to_targets(clusters, targets=[2.0, 1.0], threshold=0.10)
+        balance_clusters(clusters, targets=[2.0, 1.0], threshold=0.10)
         total = sum(c.size for c in clusters)
         assert total == 60
         # Cluster 0 should land near 2/3 of the weight.
@@ -33,21 +33,21 @@ class TestBalanceToTargets:
 
     def test_target_count_mismatch(self):
         with pytest.raises(MappingError, match="targets"):
-            balance_to_targets([Cluster()], targets=[1.0, 1.0], threshold=0.1)
+            balance_clusters([Cluster()], targets=[1.0, 1.0], threshold=0.1)
 
     def test_nonpositive_target_rejected(self):
         clusters = [Cluster([group(0b1, 4)]), Cluster([group(0b10, 4, 50)])]
         with pytest.raises(MappingError, match="positive"):
-            balance_to_targets(clusters, targets=[1.0, 0.0], threshold=0.1)
+            balance_clusters(clusters, targets=[1.0, 0.0], threshold=0.1)
 
     def test_bad_threshold(self):
         clusters = [Cluster([group(0b1, 4)]), Cluster([group(0b10, 4, 50)])]
         with pytest.raises(MappingError, match="threshold"):
-            balance_to_targets(clusters, targets=[1.0, 1.0], threshold=1.0)
+            balance_clusters(clusters, targets=[1.0, 1.0], threshold=1.0)
 
     def test_single_cluster_noop(self):
         cluster = Cluster([group(0b1, 8)])
-        balance_to_targets([cluster], targets=[1.0], threshold=0.1)
+        balance_clusters([cluster], targets=[1.0], threshold=0.1)
         assert cluster.size == 8
 
     def test_splits_when_group_too_large(self):
@@ -55,7 +55,7 @@ class TestBalanceToTargets:
             Cluster([group(0b1, 60, 0)]),
             Cluster([group(0b10, 3, 100)]),
         ]
-        balance_to_targets(clusters, targets=[1.0, 1.0], threshold=0.10)
+        balance_clusters(clusters, targets=[1.0, 1.0], threshold=0.10)
         sizes = sorted(c.size for c in clusters)
         assert sum(sizes) == 63
         assert sizes[0] >= 63 / 2 * 0.9 - 1

@@ -98,23 +98,6 @@ class TestPipelineTrace:
             if sp["name"] == "cluster.distribute":
                 assert by_id[sp["parent"]]["name"] == "map.clustering"
 
-    def test_affinity_weight_table_span(self, fig5_program, fig9_machine):
-        pytest.importorskip("numpy", exc_type=ImportError)
-        from repro.blocks.datablocks import DataBlockPartition
-        from repro.blocks.tagger import tag_iterations
-        from repro.mapping.affinity_graph import AffinityGraph
-
-        nest = fig5_program.nests[0]
-        part = DataBlockPartition(list(fig5_program.arrays.values()), 4 * 8)
-        groups = tag_iterations(nest, part).groups
-        col = CollectorSink()
-        with obs.tracing(col):
-            graph = AffinityGraph(groups, backend="numpy")
-            assert graph.total_sharing() > 0
-        names = {r["name"] for r in col.spans()}
-        assert "affinity.weight_table" in names
-        assert col.summary()["counters"]["affinity.tables_built"] == 1
-
     def test_plan_fragmentation_counters(self, fig5_program, fig9_machine):
         """Every scheme that builds a plan counts its runs and points."""
         from repro.blocks.datablocks import DataBlockPartition

@@ -3,13 +3,16 @@
 Both fronts run one HTTP stack, so every request the front itself
 refuses — an unknown route, a bad ``Content-Length``, a body that is not
 a JSON object — gets the same status and the same ``error`` text from
-either, and counts once as ``http.<status>``.
+either, and counts once as ``http.<status>``.  A refusal sent before the
+body is read closes the connection, so the unread body cannot prefix the
+next request on a kept-alive socket.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -109,3 +112,44 @@ def test_version_keys(front):
         assert body["mode"] == "shard"
         expected.add("mode")
     assert set(body) == expected
+
+
+#: Refusals answered before the body is read: (id, path, Content-Length).
+UNREAD_BODY = [
+    ("unknown-route", "/nope", "8"),
+    ("malformed-length", "/map", "abc"),
+    ("over-limit-length", "/map", str(OVER_LIMIT)),
+]
+
+
+def read_response(stream) -> tuple[int, dict[str, str]]:
+    """Status and headers of one HTTP/1.1 response (body skipped)."""
+    status_line = stream.readline()
+    headers = {}
+    for line in iter(stream.readline, b"\r\n"):
+        name, _, value = line.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    stream.read(int(headers.get("content-length", 0)))
+    return int(status_line.split()[1]), headers
+
+
+@pytest.mark.parametrize(
+    "path, length", [case[1:] for case in UNREAD_BODY], ids=[case[0] for case in UNREAD_BODY]
+)
+def test_unread_body_does_not_reach_next_request(front, path, length):
+    with socket.create_connection(("127.0.0.1", front.port), timeout=30) as sock:
+        stream = sock.makefile("rb")
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {length}\r\n\r\n12345678".encode()
+        )
+        status, headers = read_response(stream)
+        assert status in (400, 404)
+        if headers.get("connection", "").lower() == "close":
+            try:
+                assert stream.read() == b""
+            except ConnectionResetError:
+                pass  # closed with the unread body still queued
+            return
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+        assert read_response(stream)[0] == 200

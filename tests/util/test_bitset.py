@@ -1,14 +1,14 @@
-"""Unit tests for bitset helpers."""
+"""Unit tests for the tag bitset helpers."""
 
 import pytest
 
-from repro.util.bitset import (
-    bit_count,
-    bits_of,
-    dot_product,
-    from_indices,
-    hamming_distance,
-    to_bitstring,
+from repro.blocks.tags import (
+    blocks_in as bits_of,
+    dot as dot_product,
+    hamming as hamming_distance,
+    ones as bit_count,
+    render as to_bitstring,
+    tag_from_blocks as from_indices,
 )
 
 
