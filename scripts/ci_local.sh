@@ -5,7 +5,8 @@
 #   * lint        ruff check + ruff format --check   (skipped if no ruff)
 #   * test        tier-1 pytest on every python3.10/3.11/3.12 found
 #   * test-no-numpy  tier-1 with numpy blocked via scripts/block_numpy.py
-#                    (emulates the CI venv that never installs numpy)
+#                    (emulates the CI venv that never installs numpy),
+#                    then the irregular suite end to end on zoo:unicore
 #   * perf-smoke  pytest -m perf_smoke + the quickstart trace artifact
 #   * figure-shapes  benchmarks/ shape assertions (quick subset), the
 #                    perfbench self-tests and the perfbench gate
@@ -58,6 +59,15 @@ fi
 note "tier-1 without numpy (scalar fallback)"
 PYTHONPATH=src:. python3 -m pytest -x -q -p scripts.block_numpy \
     || fail "tier-1 without numpy"
+
+note "irregular suite end to end without numpy"
+PYTHONPATH=src:. python3 -c '
+import sys
+import scripts.block_numpy  # noqa: F401  (before repro, as in the CI venv)
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+' experiments --only machine_zoo_irregular --machine zoo:unicore --jobs 1 \
+    --no-cache || fail "irregular suite without numpy"
 
 # -- perf smoke + trace artifact ------------------------------------------
 note "perf smoke"

@@ -27,39 +27,16 @@ def _core_tags(plan: ExecutablePlan, partition: DataBlockPartition) -> list[int]
     """Bitset of blocks each core touches."""
     nest = plan.nest
     nest.validate_access_bounds()
-    if not nest.is_affine():
-        # Indirect accesses: evaluate each reference concretely per point.
-        concrete = [
-            (
-                offset_of,
-                partition.blocks_of_array(name).start,
-                partition.elements_per_block(name),
-            )
-            for name, offset_of, _ in nest.offset_evaluators()
-        ]
-        tags = []
-        for core in range(len(plan.rounds)):
-            tag = 0
-            for point in plan.core_iterations(core):
-                for offset_of, first, per_block in concrete:
-                    tag |= 1 << (first + offset_of(point) // per_block)
-            tags.append(tag)
-        return tags
-    resolved = []
-    for access in nest.accesses:
-        constant, coeffs = access.offset_form()
-        first = partition.blocks_of_array(access.array.name).start
-        per_block = partition.elements_per_block(access.array.name)
-        resolved.append((constant, coeffs, first, per_block))
+    refs = [
+        (offset, partition.blocks_of_array(name).start, partition.elements_per_block(name))
+        for name, offset, _ in nest.offset_evaluators()
+    ]
     tags = []
     for core in range(len(plan.rounds)):
         tag = 0
         for point in plan.core_iterations(core):
-            for constant, coeffs, first, per_block in resolved:
-                offset = constant
-                for c, x in zip(coeffs, point):
-                    offset += c * x
-                tag |= 1 << (first + offset // per_block)
+            for offset, first, per_block in refs:
+                tag |= 1 << (first + offset(point) // per_block)
         tags.append(tag)
     return tags
 

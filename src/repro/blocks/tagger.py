@@ -15,11 +15,10 @@ non-rectangular spaces.  The scalar code is the oracle — the
 differential tests in ``tests/kernels/`` pin the two backends to
 bit-identical :class:`~repro.blocks.groups.GroupSet`\\ s.
 
-Both of the above assume affine references.  :func:`tag_iterations` is
-the access-analysis seam (:mod:`repro.blocks.analysis`): nests with
-indirect references (``A[idx[i]]``) dispatch to the trace-based tagging
-fallback instead, which derives the same ``GroupSet`` shape from a
-recorded execution.
+Both backends evaluate references through the one offset evaluator of
+their kind (:meth:`~repro.ir.loops.LoopNest.offset_evaluators`,
+:func:`repro.kernels.offsets.offset_columns`), so affine and indirect
+(``A[idx[i]]``) references take the same path.
 """
 
 from __future__ import annotations
@@ -28,23 +27,9 @@ from repro import obs
 from repro.errors import BlockingError
 from repro.blocks.datablocks import DataBlockPartition
 from repro.blocks.groups import GroupSet, IterationGroup
+from repro.ir.accesses import IndirectAccess
 from repro.ir.loops import LoopNest, Program
 from repro.kernels import resolve_backend
-
-#: (constant, coeffs, first_block, elems_per_block, is_write) per access.
-ResolvedAccess = tuple[int, tuple[int, ...], int, int, bool]
-
-
-def resolve_accesses(nest: LoopNest, partition: DataBlockPartition) -> list[ResolvedAccess]:
-    """Pre-resolve per-access metadata out of the hot loop: the linear
-    offset form plus the array's block geometry."""
-    resolved = []
-    for access in nest.accesses:
-        constant, coeffs = access.offset_form()
-        first = partition.blocks_of_array(access.array.name).start
-        per_block = partition.elements_per_block(access.array.name)
-        resolved.append((constant, coeffs, first, per_block, access.is_write))
-    return resolved
 
 
 def tag_iterations(
@@ -63,44 +48,26 @@ def tag_iterations(
     reports when moving from 2KB to 256-byte blocks).  ``backend``
     selects the kernel implementation (see :mod:`repro.kernels`); every
     backend produces the identical ``GroupSet``.
-
-    This is the access-analysis seam's entry point: affine nests take the
-    static path below, nests with indirect references dispatch to the
-    trace-based fallback (:mod:`repro.blocks.analysis`).  Either way the
-    resulting ``GroupSet`` feeds the downstream stages unchanged.
     """
-    from repro.blocks.analysis import AffineAnalysis, select_analysis
-
-    analysis = select_analysis(nest)
-    if not isinstance(analysis, AffineAnalysis):
-        return analysis.tag(nest, partition, max_groups=max_groups, backend=backend)
-    return _tag_affine(nest, partition, max_groups, backend)
-
-
-def _tag_affine(
-    nest: LoopNest,
-    partition: DataBlockPartition,
-    max_groups: int | None,
-    backend: str,
-) -> GroupSet:
-    """The static (affine) implementation behind :class:`AffineAnalysis`."""
     if not nest.accesses:
         raise BlockingError(f"nest {nest.name!r} has no array accesses to tag")
     nest.validate_access_bounds()
-    resolved = resolve_accesses(nest, partition)
+    indirect = sum(isinstance(a, IndirectAccess) for a in nest.accesses)
     with obs.span(
-        "tag.iterations", nest=nest.name, iterations=nest.iteration_count()
+        "tag.iterations",
+        nest=nest.name,
+        iterations=nest.iteration_count(),
+        indirect=indirect,
     ) as sp:
         result = None
-        ran = "python"
-        if resolve_backend(backend) == "numpy":
+        ran = resolve_backend(backend)
+        if ran == "numpy":
             from repro.kernels.tagging import tag_iterations_numpy
 
-            result = tag_iterations_numpy(nest, partition, resolved, max_groups)
-            if result is not None:
-                ran = "numpy"
+            result = tag_iterations_numpy(nest, partition, max_groups)
         if result is None:
-            result = _tag_iterations_scalar(nest, partition, resolved, max_groups)
+            ran = "python"
+            result = _tag_iterations_scalar(nest, partition, max_groups)
         sp.tag(backend=ran, groups=len(result.groups))
         obs.count(f"kernels.backend.{ran}")
         obs.count("tag.groups_formed", len(result.groups))
@@ -110,10 +77,18 @@ def _tag_affine(
 def _tag_iterations_scalar(
     nest: LoopNest,
     partition: DataBlockPartition,
-    resolved: list[ResolvedAccess],
     max_groups: int | None,
 ) -> GroupSet:
     """The scalar reference implementation (and numpy-backend oracle)."""
+    refs = [
+        (
+            offset,
+            partition.blocks_of_array(name).start,
+            partition.elements_per_block(name),
+            is_write,
+        )
+        for name, offset, is_write in nest.offset_evaluators()
+    ]
     buckets: dict[int, list[tuple[int, ...]]] = {}
     write_tags: dict[int, int] = {}
     read_tags: dict[int, int] = {}
@@ -121,11 +96,8 @@ def _tag_iterations_scalar(
         tag = 0
         wtag = 0
         rtag = 0
-        for constant, coeffs, first, per_block, is_write in resolved:
-            offset = constant
-            for c, x in zip(coeffs, point):
-                offset += c * x
-            bit = 1 << (first + offset // per_block)
+        for offset, first, per_block, is_write in refs:
+            bit = 1 << (first + offset(point) // per_block)
             tag |= bit
             if is_write:
                 wtag |= bit

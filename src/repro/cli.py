@@ -116,9 +116,11 @@ def cmd_workloads_list(args) -> int:
 def cmd_workloads_show(args) -> int:
     from repro.workloads import workload
 
+    from repro.ir.accesses import IndirectAccess
+
     w = workload(args.name)  # UnknownWorkloadError -> usage error in main()
     nest = w.nest()
-    analysis = "affine" if nest.is_affine() else "trace (indirect subscripts)"
+    indirect = sum(isinstance(a, IndirectAccess) for a in nest.accesses)
     print(f"{w.name}: {w.description}")
     print(f"  suite        {w.suite}")
     print(f"  origin       {w.kind}")
@@ -126,7 +128,7 @@ def cmd_workloads_show(args) -> int:
           f"({w.num_blocks} blocks of {w.block_size()}B)")
     print(f"  iterations   {nest.iteration_count()}")
     print(f"  references   {len(nest.accesses)}")
-    print(f"  analysis     {analysis}")
+    print(f"  indirect     {indirect}")
     if w.index_data:
         arrays = ", ".join(
             f"{name}[{len(values)}]" for name, values in w.index_data

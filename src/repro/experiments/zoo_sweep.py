@@ -83,8 +83,8 @@ def run_irregular(machines: Sequence[str] | None = None) -> FigureResult:
 
     The transpose of :func:`run`: one row per *workload*, geomean over
     the zoo machines.  These kernels have data-dependent subscripts, so
-    every run here exercises the trace-based tagging fallback end to end
-    (tag from a recorded trace → cluster → distribute → schedule → sim).
+    every run here exercises the index-array gathers end to end (tag →
+    cluster → distribute → schedule → sim).
     Parity is the honest floor, not a failure: an irregular kernel whose
     sharing has no block structure gives the mapper nothing to place
     (spmv_banded's per-element jitter), while bank- or patch-clustered

@@ -9,22 +9,32 @@ Two concrete access kinds share the :class:`Access` interface:
 * :class:`IndirectAccess` — at least one subscript is an
   :class:`IndirectExpr`, a one-level nested reference ``idx[affine...]``
   into an index array that carries concrete :attr:`~repro.ir.arrays.Array.data`.
-  There is no affine form; the access can only be *evaluated*, which is
-  what the trace-based tagging fallback does.
+  There is no affine form; the access can only be *evaluated*.
 
-Downstream passes dispatch on :attr:`Access.is_affine` (or the nest-level
-``LoopNest.is_affine()``): affine nests keep their bit-identical fast
-paths, indirect nests take the concrete-evaluation routes.
+Both kinds describe their flat element offset through
+:meth:`Access.offset_terms`, an affine part plus zero or more index-array
+gathers.  The two offset evaluators — scalar
+:meth:`repro.ir.loops.LoopNest.offset_evaluators` and vectorized
+:func:`repro.kernels.offsets.offset_columns` — are built from it, so
+tagging, simulation and analysis never branch on the access kind.  The
+polyhedral passes (dependences, transforms) still dispatch on
+:attr:`Access.is_affine`: only affine pairs have dependence polyhedra.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.errors import IRError
 from repro.ir.arrays import Array
 from repro.poly.affine import AffineExpr
 from repro.poly.relation import AffineMap
+
+#: ``(constant, coeffs, gathers)``; each gather is ``(stride, data,
+#: constant, coeffs)`` reading ``data`` at an affine flat offset.
+OffsetTerms = tuple[
+    int, tuple[int, ...], tuple[tuple[int, tuple[int, ...], int, tuple[int, ...]], ...]
+]
 
 
 class Access:
@@ -50,6 +60,15 @@ class Access:
 
     def offset_form(self) -> tuple[int, tuple[int, ...]]:
         """Affine closed form of the flat offset; raises when none exists."""
+        raise NotImplementedError
+
+    def offset_terms(self) -> "OffsetTerms":
+        """The flat offset as ``(constant, coeffs, gathers)``.
+
+        ``offset(I) = constant + coeffs . I + sum(stride * data[c + k . I]
+        for stride, data, c, k in gathers)``; an affine access has no
+        gathers.  Unchecked, like :meth:`offset_form`.
+        """
         raise NotImplementedError
 
 
@@ -125,6 +144,9 @@ class ArrayAccess(Access):
             for k, dim in enumerate(self.loop_dims):
                 coeffs[k] += subscript.coeff(dim) * stride
         return constant, tuple(coeffs)
+
+    def offset_terms(self) -> "OffsetTerms":
+        return (*self.offset_form(), ())
 
     def is_uniform_with(self, other: ArrayAccess) -> bool:
         """True if the two references differ only by a constant vector.
@@ -246,7 +268,7 @@ class IndirectAccess(Access):
     ``subscripts[k]`` is either an :class:`~repro.poly.affine.AffineExpr`
     or an :class:`IndirectExpr`.  The access has no affine map; callers
     evaluate it per iteration (:meth:`element`, :meth:`element_offset`) or
-    grab :meth:`subscript_forms` for batched evaluation.
+    through the offset evaluators built from :meth:`offset_terms`.
     """
 
     __slots__ = ("array", "loop_dims", "subscripts", "is_write")
@@ -318,20 +340,20 @@ class IndirectAccess(Access):
     def offset_form(self) -> tuple[int, tuple[int, ...]]:
         raise IRError(
             f"indirect reference to {self.array.name!r} has no affine offset "
-            "form; evaluate it via element_offset or subscript_forms"
+            "form; evaluate it via element_offset or offset_terms"
         )
 
     def subscript_forms(
         self,
     ) -> tuple[tuple[str, int, tuple[int, ...], tuple[int, ...] | None], ...]:
-        """Per-dimension batched-evaluation recipe.
+        """Per-dimension evaluation recipe.
 
         Each entry is ``(kind, constant, coeffs, data)``: for ``kind ==
         'affine'`` the dimension's value is ``constant + coeffs . I`` and
         ``data`` is ``None``; for ``kind == 'indirect'`` the value is
         ``data[constant + coeffs . I]`` (``constant``/``coeffs`` give the
-        flat offset into the index array).  Both the scalar trace recorder
-        and the numpy gather path consume this.
+        flat offset into the index array).  :meth:`offset_terms` folds it
+        into one flat offset.
         """
         forms = []
         for subscript in self.subscripts:
@@ -344,27 +366,22 @@ class IndirectAccess(Access):
                 forms.append(("affine", constant, coeffs, None))
         return tuple(forms)
 
-    def offset_evaluator(self) -> Callable[[Sequence[int]], int]:
-        """A fast unchecked ``iteration -> flat offset`` closure.
-
-        Safe only after ``LoopNest.validate_access_bounds`` proved every
-        index value in range; mirrors ``ArrayAccess.offset_form``'s role.
-        """
-        strides = self.array._strides
-        forms = self.subscript_forms()
-
-        def offset(iteration: Sequence[int]) -> int:
-            total = 0
-            for (kind, constant, coeffs, data), stride in zip(forms, strides):
-                value = constant
-                for coeff, coord in zip(coeffs, iteration):
-                    value += coeff * coord
-                if kind == "indirect":
-                    value = data[value]
-                total += value * stride
-            return total
-
-        return offset
+    def offset_terms(self) -> "OffsetTerms":
+        """Affine dimensions fold into the constant and coefficients; each
+        indirect dimension becomes one gather, scaled by its stride."""
+        constant = 0
+        coeffs = [0] * len(self.loop_dims)
+        gathers = []
+        for (kind, base, factors, data), stride in zip(
+            self.subscript_forms(), self.array._strides
+        ):
+            if kind == "indirect":
+                gathers.append((stride, data, base, factors))
+                continue
+            constant += base * stride
+            for k, factor in enumerate(factors):
+                coeffs[k] += factor * stride
+        return constant, tuple(coeffs), tuple(gathers)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IndirectAccess):

@@ -2,14 +2,14 @@
 
 A :class:`LoopNest` is the unit the paper's pass operates on: an iteration
 space ``K`` (a bounded :class:`~repro.poly.intset.IntSet` whose dims are
-the loop variables, outermost first) plus the affine accesses each
-iteration performs.  Strided source loops are normalized to unit stride by
-the frontend before reaching this IR.
+the loop variables, outermost first) plus the accesses (affine or
+indirect) each iteration performs.  Strided source loops are normalized
+to unit stride by the frontend before reaching this IR.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from repro.errors import IRError
 from repro.ir.accesses import Access, IndirectAccess, IndirectExpr
@@ -73,35 +73,24 @@ class LoopNest:
     def is_affine(self) -> bool:
         """True when every access has an affine closed form.
 
-        The access-analysis seam dispatches on this: affine nests keep the
-        paper's static path, others fall back to trace-based tagging.
+        The polyhedral passes (dependence polyhedra, permutation, tiling)
+        need that form; offset evaluation does not.
         """
         return all(a.is_affine for a in self.accesses)
 
     def offset_evaluators(self):
         """``(array name, iteration -> flat element offset, is_write)`` per access.
 
-        Affine accesses use their closed offset form, indirect accesses
-        their concrete evaluator; both are the unchecked fast path —
-        validate with :meth:`validate_access_bounds` first.
+        The one scalar way to evaluate a reference, affine or indirect:
+        each closure is specialized to the access's nonzero coefficients
+        (:meth:`~repro.ir.accesses.Access.offset_terms`) plus its
+        index-array gathers.  Unchecked — validate with
+        :meth:`validate_access_bounds` first.
         """
-        evaluators = []
-        for access in self.accesses:
-            if access.is_affine:
-                constant, coeffs = access.offset_form()
-
-                def offset(point, constant=constant, coeffs=coeffs):
-                    total = constant
-                    for coeff, coord in zip(coeffs, point):
-                        total += coeff * coord
-                    return total
-
-                evaluators.append((access.array.name, offset, access.is_write))
-            else:
-                evaluators.append(
-                    (access.array.name, access.offset_evaluator(), access.is_write)
-                )
-        return evaluators
+        return [
+            (access.array.name, _offset_function(*access.offset_terms()), access.is_write)
+            for access in self.accesses
+        ]
 
     def reads(self) -> tuple[Access, ...]:
         return tuple(a for a in self.accesses if not a.is_write)
@@ -113,10 +102,11 @@ class LoopNest:
         """Prove every reference stays inside its array, or raise.
 
         Uses the iteration space's (sound, over-approximating) bounding
-        box, so a pass here guarantees the unchecked fast offset path
-        (:meth:`~repro.ir.accesses.ArrayAccess.offset_form`) never
-        aliases; a raise may be spurious for non-rectangular spaces but is
-        never unsafely silent.
+        box, so a pass here guarantees the unchecked offset evaluators
+        (:meth:`offset_evaluators`,
+        :func:`repro.kernels.offsets.offset_columns`) never alias or wrap
+        a negative index; a raise may be spurious for non-rectangular
+        spaces but is never unsafely silent.
         """
         box = self.space.bounding_box()
 
@@ -170,6 +160,53 @@ class LoopNest:
             f"LoopNest({self.name!r}, dims={self.dims}, "
             f"{len(self.accesses)} accesses, parallel={self.parallel})"
         )
+
+
+def _affine_function(constant: int, coeffs: Sequence[int]):
+    """``point -> constant + coeffs . point``, with zero coefficients
+    dropped and up to three terms unrolled."""
+    terms = [(k, c) for k, c in enumerate(coeffs) if c]
+    if not terms:
+        return lambda p: constant
+    if len(terms) == 1:
+        ((i, a),) = terms
+        return lambda p: constant + a * p[i]
+    if len(terms) == 2:
+        (i, a), (j, b) = terms
+        return lambda p: constant + a * p[i] + b * p[j]
+    if len(terms) == 3:
+        (i, a), (j, b), (k, c) = terms
+        return lambda p: constant + a * p[i] + b * p[j] + c * p[k]
+
+    def offset(p):
+        total = constant
+        for k, c in terms:
+            total += c * p[k]
+        return total
+
+    return offset
+
+
+def _offset_function(constant: int, coeffs: Sequence[int], gathers) -> Callable:
+    """The scalar evaluator of one access's offset terms."""
+    affine = _affine_function(constant, coeffs)
+    if not gathers:
+        return affine
+    lookups = [
+        (stride, data, _affine_function(inner, factors))
+        for stride, data, inner, factors in gathers
+    ]
+    if len(lookups) == 1:
+        ((stride, data, index),) = lookups
+        return lambda p: affine(p) + stride * data[index(p)]
+
+    def offset(p):
+        total = affine(p)
+        for stride, data, index in lookups:
+            total += stride * data[index(p)]
+        return total
+
+    return offset
 
 
 class Program:

@@ -1,11 +1,13 @@
 """Vectorized kernels for the paths that walk the iteration space K.
 
 Iteration tagging (:mod:`repro.blocks.tagger`) evaluates every
-reference's affine subscript at every point of K, and the batched cache
-simulator (:mod:`repro.kernels.cachesim`) replays every access of a
-plan.  This package provides their NumPy bulk forms: affine offset forms
-are evaluated as array operations over the whole iteration space
-(:mod:`repro.kernels.tagging`), and access streams are filtered and
+reference at every point of K, and the batched cache simulator
+(:mod:`repro.kernels.cachesim`) replays every access of a plan.  This
+package provides their NumPy bulk forms.  One evaluator,
+:func:`repro.kernels.offsets.offset_columns`, turns every reference —
+affine, or indirect through an index array — into element offsets over
+coordinate columns; tagging (:mod:`repro.kernels.tagging`) and the
+batched trace builder consume it, and access streams are filtered and
 replayed level by level as arrays.  Tags themselves stay Python
 integers everywhere: a tag dot product is one AND plus a C-speed
 popcount, so the mapping layer has a single scalar implementation.
@@ -21,9 +23,10 @@ selects the implementation with a ``backend`` switch:
 * ``"numpy"`` — require NumPy; raise :class:`~repro.errors.KernelError`
   when it is not importable.
 
-Even under ``"numpy"``, tagging runs the scalar path for a
-non-rectangular iteration space, because that is a property of the
-nest, not a configuration error.
+The switch applies to every nest, affine or indirect.  Even under
+``"numpy"``, tagging runs the scalar path for a non-rectangular
+iteration space, because that is a property of the nest, not a
+configuration error.
 """
 
 from __future__ import annotations

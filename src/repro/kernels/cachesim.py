@@ -37,7 +37,6 @@ from the returned outcomes and the counters.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -256,42 +255,6 @@ def _round_indices(plan: "ExecutablePlan"):
         yield plan.codec.expand(tuple(chain.from_iterable(core_rounds))), counts
 
 
-def _linear(columns: list, count: int, coeffs, constant: int):
-    """``constant + sum(c * column)`` as an int64 array of ``count``
-    values; zero coefficients cost nothing.  Column by column, this
-    beats an integer matmul (NumPy has no BLAS for int64)."""
-    import numpy as np
-
-    total = np.full(count, constant, dtype=np.int64)
-    for column, coeff in zip(columns, coeffs):
-        if coeff:
-            total += column * coeff
-    return total
-
-
-def _core_traces(plan: "ExecutablePlan", line_shift: int, column_fns: list):
-    """``(streams, offsets)`` from one address function per reference;
-    each maps ``(coordinate columns, count)`` to an int64 address array."""
-    import numpy as np
-
-    num_refs = len(column_fns)
-    streams: list = []
-    offsets: list[list[int]] = []
-    for indices, counts in _round_indices(plan):
-        offs = [0]
-        for count in counts:
-            offs.append(offs[-1] + count * num_refs)
-        lines = np.empty((len(indices), num_refs), dtype=np.int64)
-        if len(indices) and num_refs:
-            columns = plan.codec.columns(indices)
-            for ref, fn in enumerate(column_fns):
-                lines[:, ref] = fn(columns, len(indices))
-            lines >>= line_shift
-        streams.append(lines.ravel())  # point-major, access-minor
-        offsets.append(offs)
-    return streams, offsets
-
-
 def build_traces_numpy(plan: "ExecutablePlan", layout: "MemoryLayout", line_shift: int):
     """Vectorized :func:`repro.sim.trace.build_traces`, pre-concatenated.
 
@@ -303,66 +266,30 @@ def build_traces_numpy(plan: "ExecutablePlan", layout: "MemoryLayout", line_shif
     """
     import numpy as np
 
+    from repro.kernels.offsets import offset_columns
+
     nest = plan.nest
     nest.validate_access_bounds()
-    if not nest.is_affine():
-        return _build_traces_numpy_indirect(plan, layout, line_shift)
-    resolved_base = []
-    resolved_coeffs = []
-    for access in nest.accesses:
-        constant, coeffs = access.offset_form()
-        elem = access.array.element_size
-        resolved_base.append(layout.bases[access.array.name] + constant * elem)
-        resolved_coeffs.append(tuple(c * elem for c in coeffs))
-    column_fns = [
-        partial(_linear, coeffs=coeffs, constant=base)
-        for base, coeffs in zip(resolved_base, resolved_coeffs)
+    refs = [
+        (offsets_of, access.array.element_size, layout.bases[access.array.name])
+        for access, offsets_of in zip(nest.accesses, offset_columns(nest))
     ]
-    return _core_traces(plan, line_shift, column_fns)
-
-
-def _build_traces_numpy_indirect(
-    plan: "ExecutablePlan", layout: "MemoryLayout", line_shift: int
-):
-    """Gather variant of :func:`build_traces_numpy` for indirect nests.
-
-    Affine references keep the linear form; indirect subscripts become a
-    vectorized index-array gather (``data[inner_offsets]``).  Issue order
-    (point-major, access-minor) and line values match the scalar builder.
-    """
-    import numpy as np
-
-    nest = plan.nest
-    column_fns = []
-    for access in nest.accesses:
-        elem = access.array.element_size
-        base = layout.bases[access.array.name]
-        if access.is_affine:
-            constant, coeffs = access.offset_form()
-            base_addr = base + constant * elem
-
-            def column(columns, count, coeffs=coeffs, base_addr=base_addr, elem=elem):
-                return _linear(columns, count, coeffs, 0) * elem + base_addr
-
-        else:
-            strides = access.array._strides
-            dims = []
-            for (kind, constant, coeffs, data), stride in zip(
-                access.subscript_forms(), strides
-            ):
-                data_vec = (
-                    np.asarray(data, dtype=np.int64) if kind == "indirect" else None
-                )
-                dims.append((coeffs, constant, data_vec, stride))
-
-            def column(columns, count, dims=dims, base=base, elem=elem):
-                total = np.zeros(count, dtype=np.int64)
-                for coeffs, constant, data_vec, stride in dims:
-                    values = _linear(columns, count, coeffs, constant)
-                    if data_vec is not None:
-                        values = data_vec[values]
-                    total += values * stride
-                return base + total * elem
-
-        column_fns.append(column)
-    return _core_traces(plan, line_shift, column_fns)
+    num_refs = len(refs)
+    streams: list = []
+    offsets: list[list[int]] = []
+    for indices, counts in _round_indices(plan):
+        offs = [0]
+        for count in counts:
+            offs.append(offs[-1] + count * num_refs)
+        lines = np.empty((len(indices), num_refs), dtype=np.int64)
+        if len(indices) and num_refs:
+            columns = plan.codec.columns(indices)
+            for ref, (offsets_of, elem, base) in enumerate(refs):
+                addresses = offsets_of(columns, len(indices))
+                addresses *= elem
+                addresses += base
+                lines[:, ref] = addresses
+            lines >>= line_shift
+        streams.append(lines.ravel())  # point-major, access-minor
+        offsets.append(offs)
+    return streams, offsets

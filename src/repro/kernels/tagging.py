@@ -1,15 +1,16 @@
 """Vectorized iteration tagging (the bulk form of Section 3.3).
 
 The scalar reference in :mod:`repro.blocks.tagger` walks the iteration
-space K one point at a time, evaluating every reference's affine offset
-form with Python integers.  Here the whole space is materialized as one
-``(K, d)`` ``int64`` grid, each reference's offset form becomes a single
-matrix-vector product, and iterations are grouped by the *set* of data
-blocks they touch — a ``(K, refs)`` matrix of small block numbers that
-sorts far faster than wide bit vectors.  The resulting
-:class:`~repro.blocks.groups.GroupSet` is bit-identical to the scalar
-one — same tags, same write/read tags, same iteration tuples, same group
-order, same idents.
+space K one point at a time through
+:meth:`~repro.ir.loops.LoopNest.offset_evaluators`.  Here the whole
+space is materialized as one ``(K, d)`` ``int64`` grid, every reference
+— affine or indirect — is evaluated over it by
+:func:`repro.kernels.offsets.offset_columns`, and iterations are grouped
+by the *set* of data blocks they touch — a ``(K, refs)`` matrix of small
+block numbers that sorts far faster than wide bit vectors.  The
+resulting :class:`~repro.blocks.groups.GroupSet` is bit-identical to the
+scalar one — same tags, same write/read tags, same iteration tuples,
+same group order, same idents.
 
 Vectorization applies when the space is rectangular (every loop bound is
 a constant — the overwhelmingly common case after frontend
@@ -29,6 +30,7 @@ from repro.errors import BlockingError
 from repro.blocks.datablocks import DataBlockPartition
 from repro.blocks.groups import GroupSet, IterationGroup
 from repro.ir.loops import LoopNest
+from repro.kernels.offsets import offset_columns
 
 
 def iteration_grid(nest: LoopNest) -> "np.ndarray | None":
@@ -49,29 +51,30 @@ def iteration_grid(nest: LoopNest) -> "np.ndarray | None":
 def tag_iterations_numpy(
     nest: LoopNest,
     partition: DataBlockPartition,
-    resolved: list[tuple[int, tuple[int, ...], int, int, bool]],
     max_groups: int | None = None,
 ) -> GroupSet | None:
-    """Bulk tagging; ``None`` when this nest/partition cannot vectorize.
+    """Bulk tagging; ``None`` when this nest's space is not rectangular.
 
-    ``resolved`` carries the per-access ``(constant, coeffs, first_block,
-    elems_per_block, is_write)`` tuples prepared by the caller (shared
-    with the scalar path).  The caller must already have validated access
-    bounds, exactly as the scalar reference requires.
+    The caller must already have validated access bounds, exactly as the
+    scalar reference requires.
     """
     grid = iteration_grid(nest)
     if grid is None:
         # Loop-variant bounds: the scalar tagger is the designed path,
         # not a fallback (``kernels.backend.python`` counts it).
         return None
-    count, _ = grid.shape
+    count = len(grid)
     if not count:
         return GroupSet(nest, partition, [])
-    refs = len(resolved)
+    refs = len(nest.accesses)
+    columns = list(np.ascontiguousarray(grid.T))
     blocks_mat = np.empty((count, refs), dtype=np.int64)
-    for column, (constant, coeffs, first, per_block, _) in enumerate(resolved):
-        offsets = grid @ np.asarray(coeffs, dtype=np.int64) + constant
-        blocks_mat[:, column] = first + offsets // per_block
+    for column, (access, offsets) in enumerate(
+        zip(nest.accesses, offset_columns(nest))
+    ):
+        first = partition.blocks_of_array(access.array.name).start
+        per_block = partition.elements_per_block(access.array.name)
+        blocks_mat[:, column] = first + offsets(columns, count) // per_block
 
     # Group iterations by the *set* of touched blocks (equivalent to
     # grouping by tag, since the tag is exactly that set as a bit vector):
@@ -113,8 +116,8 @@ def tag_iterations_numpy(
     ordered_blocks = blocks_mat[order]
     stride = partition.num_blocks + 1
     keyed = group_ids[:, None] * stride + ordered_blocks
-    write_cols = [c for c, acc in enumerate(resolved) if acc[4]]
-    read_cols = [c for c, acc in enumerate(resolved) if not acc[4]]
+    write_cols = [c for c, acc in enumerate(nest.accesses) if acc.is_write]
+    read_cols = [c for c, acc in enumerate(nest.accesses) if not acc.is_write]
     write_tags = _pair_tags(keyed, write_cols, stride, num_groups)
     read_tags = _pair_tags(keyed, read_cols, stride, num_groups)
     tags = [w | r for w, r in zip(write_tags, read_tags)]
@@ -122,9 +125,7 @@ def tag_iterations_numpy(
     # Gather the grid into group order once; each group is then a
     # contiguous slice of the tuple list, already lexicographically
     # sorted (zip-of-columns is the fastest ndarray -> tuples path).
-    ordered_grid = grid[order]
-    dims = grid.shape[1]
-    points = list(zip(*(ordered_grid[:, k].tolist() for k in range(dims))))
+    points = list(zip(*(column[order].tolist() for column in columns)))
     starts_list = starts.tolist()
     ends_list = starts_list[1:] + [count]
     firsts = order[starts].tolist()

@@ -22,7 +22,7 @@ from repro.ir.loops import LoopNest
 from repro.sim.engine import SimConfig, _level_rank
 from repro.sim.hierarchy import MachineSim
 from repro.sim.stats import LevelStats, SimResult
-from repro.sim.trace import MemoryLayout
+from repro.sim.trace import MemoryLayout, line_stream
 from repro.topology.tree import Machine
 
 
@@ -50,33 +50,7 @@ def simulate_dynamic(
 
     # Pre-render the full lexicographic trace once; chunks are slices.
     nest.validate_access_bounds()
-    shift = msim.line_shift
-    lines: list[int] = []
-    if nest.is_affine():
-        resolved = []
-        for access in nest.accesses:
-            constant, coeffs = access.offset_form()
-            elem = access.array.element_size
-            base = layout.bases[access.array.name] + constant * elem
-            resolved.append((base, tuple(c * elem for c in coeffs)))
-        for point in nest.iterations():
-            for base, coeffs in resolved:
-                addr = base
-                for c, x in zip(coeffs, point):
-                    addr += c * x
-                lines.append(addr >> shift)
-    else:
-        # Indirect accesses: evaluate each reference concretely (index
-        # lookups included) in the same issue order.
-        concrete = [
-            (layout.bases[name], access.array.element_size, offset_of)
-            for (name, offset_of, _), access in zip(
-                nest.offset_evaluators(), nest.accesses
-            )
-        ]
-        for point in nest.iterations():
-            for base, elem, offset_of in concrete:
-                lines.append((base + offset_of(point) * elem) >> shift)
+    lines = line_stream(nest, layout, msim.line_shift)(nest.iterations())
 
     refs = len(nest.accesses)
     chunk_len = chunk_iterations * refs

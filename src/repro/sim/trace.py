@@ -5,12 +5,16 @@ A :class:`MemoryLayout` assigns each array a line-aligned base address.
 into per-core, per-round flat lists of cache-line numbers: each round's
 runs are expanded to iterations, and each iteration accesses the nest's
 references in program order, one access per reference to the line
-holding the referenced element.
+holding the referenced element.  :func:`line_stream` is the per-point
+code, shared with the self-scheduling simulator; it evaluates affine and
+indirect references alike through
+:meth:`~repro.ir.loops.LoopNest.offset_evaluators`.
+:func:`repro.kernels.cachesim.build_traces_numpy` is the vectorized twin.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.errors import SimulationError
 from repro.ir.arrays import Array
@@ -45,19 +49,25 @@ class MemoryLayout:
         return self.bases[array.name] + element_offset * array.element_size
 
 
-def record_access_offsets(nest: LoopNest):
-    """Deterministic per-iteration access trace of a nest.
+def line_stream(nest: LoopNest, layout: MemoryLayout, line_shift: int):
+    """``points -> line numbers of every access``, point-major and
+    access-minor, through the nest's scalar offset evaluators (built once
+    here).  Validate bounds before calling — the evaluators are unchecked."""
+    element_sizes = {array.name: array.element_size for array in nest.arrays()}
+    refs = [
+        (layout.bases[name], element_sizes[name], offset)
+        for name, offset, _ in nest.offset_evaluators()
+    ]
 
-    Yields ``(iteration, offsets)`` in execution order, where
-    ``offsets[r]`` is the flat element offset touched by the nest's
-    ``r``-th access.  This is the recorded execution the trace-based
-    tagging fallback instruments: it is a pure function of the nest (and
-    its index-array data), so replaying it is bit-reproducible.
-    Validate bounds before calling — the evaluators are unchecked.
-    """
-    evaluators = [offset for _, offset, _ in nest.offset_evaluators()]
-    for point in nest.iterations():
-        yield point, tuple(offset(point) for offset in evaluators)
+    def lines_of(points: Iterable[tuple[int, ...]]) -> list[int]:
+        lines: list[int] = []
+        append = lines.append
+        for point in points:
+            for base, elem, offset in refs:
+                append((base + offset(point) * elem) >> line_shift)
+        return lines
+
+    return lines_of
 
 
 def build_traces(
@@ -66,59 +76,5 @@ def build_traces(
     """``traces[core][round]`` = flat list of line numbers in issue order."""
     nest = plan.nest
     nest.validate_access_bounds()
-    if not nest.is_affine():
-        return _build_traces_concrete(plan, layout, line_shift)
-    # Pre-resolve each access to a byte-address linear form so the hot
-    # loop is pure integer arithmetic.
-    resolved = []
-    for access in nest.accesses:
-        constant, coeffs = access.offset_form()
-        elem = access.array.element_size
-        base = layout.bases[access.array.name] + constant * elem
-        resolved.append((base, tuple(c * elem for c in coeffs)))
-
-    traces: list[list[list[int]]] = []
-    for core_rounds in plan.rounds:
-        core_trace: list[list[int]] = []
-        for rnd in core_rounds:
-            lines: list[int] = []
-            append = lines.append
-            for point in plan.codec.points(rnd):
-                for base, coeffs in resolved:
-                    addr = base
-                    for c, x in zip(coeffs, point):
-                        addr += c * x
-                    append(addr >> line_shift)
-            core_trace.append(lines)
-        traces.append(core_trace)
-    return traces
-
-
-def _build_traces_concrete(
-    plan: ExecutablePlan, layout: MemoryLayout, line_shift: int
-) -> list[list[list[int]]]:
-    """Trace construction for nests with indirect accesses.
-
-    Same issue order and line numbering as the affine path, but each
-    access is evaluated concretely (index-array lookups included) instead
-    of through a closed linear form.
-    """
-    nest = plan.nest
-    resolved = []
-    for (name, offset_of, _), access in zip(nest.offset_evaluators(), nest.accesses):
-        elem = access.array.element_size
-        base = layout.bases[name]
-        resolved.append((base, elem, offset_of))
-
-    traces: list[list[list[int]]] = []
-    for core_rounds in plan.rounds:
-        core_trace: list[list[int]] = []
-        for rnd in core_rounds:
-            lines: list[int] = []
-            append = lines.append
-            for point in plan.codec.points(rnd):
-                for base, elem, offset_of in resolved:
-                    append((base + offset_of(point) * elem) >> line_shift)
-            core_trace.append(lines)
-        traces.append(core_trace)
-    return traces
+    lines_of = line_stream(nest, layout, line_shift)
+    return [[lines_of(plan.codec.points(rnd)) for rnd in rounds] for rounds in plan.rounds]

@@ -12,8 +12,8 @@ ratios sit in the regime the paper studies (working sets exceeding the
 aggregate last-level capacity).
 
 Beyond Table 2, the ``irregular`` suite adds kernels with data-dependent
-subscripts (SpMV, mesh edge update, histogram, CSR sweep) that exercise
-the trace-based tagging fallback; see ``docs/WORKLOADS.md``.
+subscripts (SpMV, mesh edge update, histogram, CSR sweep) that read
+through index arrays; see ``docs/WORKLOADS.md``.
 
 See :data:`repro.workloads.registry.WORKLOADS` for the full table and
 :func:`repro.workloads.registry.workload` to fetch one by name.

@@ -12,11 +12,11 @@ Two workload populations live here:
 * the twelve **paper applications** (:func:`paper_workloads`) — affine
   kernels mirroring Table 2; the figure experiments run exactly these;
 * the **irregular suite** (suite ``"irregular"``) — kernels with
-  data-dependent subscripts through recorded index arrays.  Affine
-  analysis declines them, so they map through the trace-based tagging
-  fallback (:mod:`repro.blocks.analysis`).  Their index arrays are part
-  of the workload (``index_data``) and are deterministic, so mapping
-  them is as reproducible as the affine twelve.
+  data-dependent subscripts through recorded index arrays.  They map
+  through the same tagging path as the affine twelve; the offset
+  evaluators gather through the index arrays.  Those arrays are part of
+  the workload (``index_data``) and are deterministic, so mapping them
+  is as reproducible as the affine twelve.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.ir.loops import LoopNest, Program
 from repro.lang import compile_source
 from repro.workloads import kernels
 
-#: Suite name of the trace-tagged kernels (everything else is affine).
+#: Suite name of the indirect-subscript kernels (everything else is affine).
 IRREGULAR_SUITE = "irregular"
 
 
@@ -139,7 +139,7 @@ def paper_workloads() -> list[Workload]:
 
 
 def irregular_workloads() -> list[Workload]:
-    """The trace-tagged irregular suite."""
+    """The irregular suite (indirect subscripts)."""
     return all_workloads(IRREGULAR_SUITE)
 
 

@@ -83,3 +83,59 @@ class TestAnalyzePlan:
         analysis = analyze_plan(base_plan(program.nests[0], fig9_machine), partition)
         assert len(analysis.core_block_counts) == 4
         assert all(c > 0 for c in analysis.core_block_counts)
+
+
+#: analyze_plan on sim-scaled dunnington for two indirect nests, at each
+#: workload's block size: (core block counts, replication per level,
+#: affinity sharing, non-affinity sharing) per scheme.
+ANALYSIS_PINS = {
+    ("spmv_random", "ta+s"): (
+        (12, 11, 17, 11, 12, 11, 12, 12, 12, 12, 12, 11),
+        {"L1": 1.5934065934065933, "L2": 1.2637362637362637, "L3": 1.0},
+        55,
+        0,
+    ),
+    ("mesh_edge", "ta+s"): (
+        (12, 8, 8, 14, 8, 14, 12, 10, 8, 16, 12, 10),
+        {"L1": 1.434782608695652, "L2": 1.173913043478261, "L3": 1.0},
+        48,
+        0,
+    ),
+    ("spmv_random", "base"): (
+        (12, 12, 18, 12, 12, 18, 12, 11, 18, 12, 12, 12),
+        {"L1": 1.7692307692307692, "L2": 1.3736263736263736, "L3": 1.10989010989011},
+        61,
+        14,
+    ),
+    ("mesh_edge", "base"): (
+        (12, 16, 16, 12, 16, 16, 12, 16, 16, 12, 16, 12),
+        {"L1": 1.8695652173913044, "L2": 1.565217391304348, "L3": 1.173913043478261},
+        76,
+        76,
+    ),
+}
+
+
+@pytest.mark.parametrize("name, scheme", sorted(ANALYSIS_PINS))
+def test_indirect_plan_analysis_matches_pin(name, scheme):
+    from repro.experiments import harness
+    from repro.pipeline import MappingPipeline
+    from repro.topology.machines import dunnington
+    from repro.workloads import workload
+
+    app = workload(name)
+    machine = harness.sim_machine(dunnington())
+    program, nest = app.program(), app.nest()
+    if scheme == "base":
+        plan = base_plan(nest, machine)
+    else:
+        pipeline = MappingPipeline(machine, harness.scheme_knobs(app, scheme))
+        plan = pipeline.map_nest(program, nest).plan()
+    arrays = [program.arrays[a.name] for a in nest.arrays()]
+    result = analyze_plan(plan, DataBlockPartition(arrays, app.block_size()))
+    assert (
+        result.core_block_counts,
+        result.replication,
+        result.affinity_sharing,
+        result.non_affinity_sharing,
+    ) == ANALYSIS_PINS[name, scheme]

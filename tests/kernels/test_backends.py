@@ -5,7 +5,7 @@ import pytest
 from repro.errors import KernelError
 from repro.blocks.datablocks import DataBlockPartition
 from repro.blocks.groups import IterationGroup
-from repro.blocks.tagger import resolve_accesses, tag_iterations
+from repro.blocks.tagger import tag_iterations
 from repro.ir.accesses import ArrayAccess
 from repro.ir.arrays import Array
 from repro.ir.loops import LoopNest
@@ -86,6 +86,32 @@ class TestResolveBackend:
         assert resolve_backend("numpy") == "numpy"
 
 
+class TestIndirectNestBackend:
+    """An indirect nest resolves ``backend`` exactly as an affine one."""
+
+    @pytest.fixture(params=["spmv_random", "galgel"])
+    def tagged(self, request):
+        from repro.workloads import workload
+
+        app = workload(request.param)
+        program, nest = app.program(), app.nest()
+        arrays = [program.arrays[a.name] for a in nest.arrays()]
+        return nest, DataBlockPartition(arrays, app.block_size())
+
+    def test_unknown_backend_rejected(self, tagged):
+        nest, part = tagged
+        with pytest.raises(KernelError, match="unknown kernel backend"):
+            tag_iterations(nest, part, backend="bogus")
+
+    def test_numpy_without_numpy_rejected(self, tagged, monkeypatch):
+        import repro.kernels as kernels
+
+        nest, part = tagged
+        monkeypatch.setattr(kernels, "have_numpy", lambda: False)
+        with pytest.raises(KernelError, match="numpy is not importable"):
+            tag_iterations(nest, part, backend="numpy")
+
+
 @pytest.mark.skipif(not have_numpy(), reason="fallback paths need numpy present")
 class TestGracefulFallback:
     def test_non_rectangular_returns_none(self):
@@ -95,12 +121,11 @@ class TestGracefulFallback:
         from repro.kernels.tagging import tag_iterations_numpy
 
         nest, part = triangular_nest()
-        resolved = resolve_accesses(nest, part)
         kernels.reset_fallback_warnings()
         # The scalar tagger is the designed path for loop-variant bounds.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert tag_iterations_numpy(nest, part, resolved) is None
+            assert tag_iterations_numpy(nest, part) is None
 
     def test_numpy_backend_falls_back_silently_on_triangular(self):
         nest, part = triangular_nest()

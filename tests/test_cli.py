@@ -32,6 +32,11 @@ class TestSubcommands:
         assert main(["workloads"]) == 0
         assert "galgel" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name, indirect", [("spmv_random", 4), ("galgel", 0)])
+    def test_workloads_show_counts_indirect_references(self, name, indirect, capsys):
+        assert main(["workloads", "show", name]) == 0
+        assert f"  indirect     {indirect}\n" in capsys.readouterr().out
+
     def test_map(self, program_file, capsys):
         code = main(["map", program_file, "--block-size", "256", "--scale", "64"])
         assert code == 0
