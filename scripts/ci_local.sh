@@ -7,7 +7,10 @@
 #   * test-no-numpy  tier-1 with numpy blocked via scripts/block_numpy.py
 #                    (emulates the CI venv that never installs numpy),
 #                    then the irregular suite end to end on zoo:unicore
-#   * perf-smoke  pytest -m perf_smoke + the quickstart trace artifact
+#   * perf-smoke  pytest -m perf_smoke, Figure 15 quick with a parallel
+#                 prewarm, the irregular suite on zoo:epyc2p (both with
+#                 --no-cache, so they simulate instead of reading a
+#                 result cache) + the quickstart trace artifact
 #   * figure-shapes  benchmarks/ shape assertions (quick subset), the
 #                    perfbench self-tests and the perfbench gate
 #   * service-smoke  scripts/service_smoke.py: 2-worker shard, single
@@ -72,6 +75,14 @@ sys.exit(main(sys.argv[1:]))
 # -- perf smoke + trace artifact ------------------------------------------
 note "perf smoke"
 python3 -m pytest -q -m perf_smoke || fail "perf smoke"
+
+note "one figure, parallel prewarm + batched backend"
+python3 -m repro experiments --only figure_15 --quick --jobs 2 --no-cache \
+    || fail "figure_15 (quick, --jobs 2)"
+
+note "irregular suite on a zoo machine (vectorized gather)"
+python3 -m repro experiments --only machine_zoo_irregular --machine zoo:epyc2p \
+    --jobs 2 --no-cache || fail "irregular suite on zoo:epyc2p"
 
 note "quickstart trace artifact"
 TRACE_OUT="$(mktemp -d)/trace.jsonl"

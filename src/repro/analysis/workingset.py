@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from repro.blocks.datablocks import DataBlockPartition
 from repro.blocks.tags import dot, ones
 from repro.mapping.distribute import ExecutablePlan
+from repro.topology.tree import Machine
 from repro.util.tables import format_table
 
 
@@ -50,8 +51,11 @@ def replication_factor(
     (no replication); Base distributions of mirrored kernels typically
     sit near 2.0 while TopologyAware returns to ~1.0.
     """
-    tags = _core_tags(plan, partition)
-    machine = plan.machine
+    return _replication(plan.machine, _core_tags(plan, partition), level)
+
+
+def _replication(machine: Machine, tags: list[int], level: str) -> float:
+    """:func:`replication_factor` from the per-core block tags."""
     component_tags = []
     for node in machine.cache_nodes():
         if node.spec.level != level:
@@ -61,7 +65,6 @@ def replication_factor(
             if core < len(tags):
                 tag |= tags[core]
         component_tags.append(tag)
-    touched = 0
     copies = 0
     all_blocks = 0
     for t in component_tags:
@@ -128,10 +131,7 @@ def analyze_plan(plan: ExecutablePlan, partition: DataBlockPartition) -> PlanAna
                 affinity += shared
             else:
                 non_affinity += shared
-    replication = {
-        level: replication_factor(plan, partition, level)
-        for level in machine.cache_levels()
-    }
+    replication = {level: _replication(machine, tags, level) for level in machine.cache_levels()}
     return PlanAnalysis(
         label=plan.label,
         core_block_counts=tuple(ones(t) for t in tags),

@@ -175,8 +175,11 @@ def _concrete_dependences(
     element the last write and the reads since it.  Each write emits an
     output edge from the previous write and anti edges from those reads;
     each read emits a flow edge from the last write.  Same-iteration
-    conflicts are not loop-carried and are skipped.
+    conflicts are not loop-carried and are skipped.  Raises
+    :class:`IRError` when a reference can leave its array (the
+    evaluators are unchecked).
     """
+    nest.validate_access_bounds()
     evaluators = nest.offset_evaluators()
     last_write: dict[tuple[str, int], tuple[int, ...]] = {}
     readers: dict[tuple[str, int], list[tuple[int, ...]]] = {}

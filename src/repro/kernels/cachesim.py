@@ -22,13 +22,18 @@ almost every access:
 * at least ``ways`` *first-ever* same-set lines in between → miss
   (cold lines alone already evicted it).
 
-The rare leftovers are answered exactly by counting the distinct
+The leftovers are answered exactly by counting the distinct
 intervening lines (an access ``j`` in the window introduces a new line
-iff its own previous access predates the window).  When the leftover
-work would exceed a small multiple of the stream length — adversarial
-mixes of medium-distance reuses — the caller falls back to the scalar
-loop, which is always exact (``sim-unresolved`` in the fallback
-counters).
+iff its own previous access predates the window).  Windows are read in
+growing prefixes and a query stops as soon as ``ways`` distinct lines
+settle it as a miss, so a long window costs about as much as the lines
+that decide it.  When the elements read would exceed a small multiple
+of the stream length — adversarial mixes of medium-distance reuses —
+the caller falls back to the scalar loop, which is always exact
+(``sim-unresolved`` in the fallback counters).
+
+Both stable argsorts (by set, by line) run on ``uint16`` keys when the
+values span fewer than 2**16, which NumPy radix-sorts.
 
 Pre-existing cache state (warm runs) is handled by prepending the
 resident lines, eldest first, as virtual accesses that are excluded
@@ -52,10 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: for itself on streams of at least a few hundred accesses.
 MIN_NUMPY_STREAM = 1024
 
-#: Abort the exact leftover resolution when the summed same-set
-#: reuse-window length exceeds this multiple of the stream length and
-#: use the scalar loop instead; keeps the worst case linear.  The
-#: resolution is itself vectorized, so the factor is generous.
+#: Abort the exact leftover resolution when the reuse-window elements
+#: it reads exceed this multiple of the stream length and use the scalar
+#: loop instead; keeps the worst case linear.  The resolution is itself
+#: vectorized, so the factor is generous.
 UNRESOLVED_WORK_FACTOR = 32
 
 
@@ -148,7 +153,7 @@ def _lru_filter_pass(lines, num_sets: int, ways: int):
         set_of = lines % num_sets
 
     # Per-set subsequence coordinate r: this access is the r-th of its set.
-    order = np.argsort(set_of, kind="stable")
+    order = np.argsort(_radix_key(set_of, 0, num_sets), kind="stable")
     sorted_sets = set_of[order]
     seg_start = np.empty(n, dtype=bool)
     seg_start[0] = True
@@ -159,7 +164,8 @@ def _lru_filter_pass(lines, num_sets: int, ways: int):
     r[order] = np.arange(n, dtype=np.int64) - start_idx[seg_id]
 
     # prev[t]: previous access to the same line, via a stable sort by line.
-    by_line = np.argsort(lines, kind="stable")
+    low = int(lines.min())
+    by_line = np.argsort(_radix_key(lines, low, int(lines.max()) - low + 1), kind="stable")
     sorted_lines = lines[by_line]
     prev = np.full(n, -1, dtype=np.int64)
     same = sorted_lines[1:] == sorted_lines[:-1]
@@ -184,35 +190,79 @@ def _lru_filter_pass(lines, num_sets: int, ways: int):
 
     unresolved = np.flatnonzero(~hit & ~resolved_miss)
     if len(unresolved):
-        # Exact per-query resolution: the distinct lines strictly inside
-        # the window (prev[t], t) are the same-set accesses j there whose
-        # own previous access predates the window.  Same-set accesses are
-        # contiguous in ``order`` (positions seg_off + r), so each query
-        # reads exactly its window — summed window length is the work.
-        lens = window[unresolved]
-        work = int(lens.sum())
-        if work > UNRESOLVED_WORK_FACTOR * n:
-            return None
+        # Same-set accesses are contiguous in ``order`` (positions
+        # seg_off + r), so each query's window starts at a known place.
         inv_order = np.empty(n, dtype=np.int64)
         inv_order[order] = np.arange(n, dtype=np.int64)
-        seg_off = inv_order[unresolved] - r[unresolved]
-        starts = seg_off + r[prev[unresolved]] + 1
-        ends = np.cumsum(lens)
-        step = np.ones(work, dtype=np.int64)
-        step[0] = starts[0]
-        step[ends[:-1]] = starts[1:] - (starts[:-1] + lens[:-1] - 1)
-        positions = order[np.cumsum(step)]
-        introduces = prev[positions] < np.repeat(prev[unresolved], lens)
-        cum_new = np.concatenate(([0], np.cumsum(introduces)))
-        bounds = np.concatenate(([0], ends))
-        distinct = cum_new[bounds[1:]] - cum_new[bounds[:-1]]
-        hit[unresolved[distinct < ways]] = True
+        starts = inv_order[unresolved] - r[unresolved] + r[prev[unresolved]] + 1
+        below = _fewer_distinct_than(
+            order, prev, unresolved, starts, window[unresolved], ways,
+            UNRESOLVED_WORK_FACTOR * n,
+        )
+        if below is None:
+            return None
+        hit[unresolved[below]] = True
 
     miss = ~hit
     # A miss evicts exactly when the set is already full; occupancy
     # before t is min(ways, distinct_before[t]).
     evict = miss & (distinct_before >= ways)
     return hit, evict, set_of, prev
+
+
+def _radix_key(values, low: int, span: int):
+    """``values - low`` as ``uint16`` when they take fewer than 2**16
+    values, so that a stable argsort runs NumPy's radix sort; else
+    ``values`` unchanged.  Either key sorts in the same order."""
+    import numpy as np
+
+    if span > 1 << 16:
+        return values
+    return (values - low).astype(np.uint16)
+
+
+def _fewer_distinct_than(order, prev, queries, starts, lens, ways: int, budget: int):
+    """Per query ``t``: whether its reuse window holds fewer than ``ways``
+    distinct lines; None once more than ``budget`` elements were read.
+
+    The window of ``t`` is ``order[starts[q] : starts[q] + lens[q]]``,
+    the same-set accesses strictly between ``prev[t]`` and ``t``.  An
+    access ``j`` there introduces a new line iff its own previous access
+    predates the window (``prev[j] < prev[t]``).  Windows are read in
+    growing prefixes, ``2 * ways`` elements first and four times as many
+    each round after, and a query is dropped as soon as ``ways`` distinct
+    lines are seen (a miss) or its window is used up (a hit).
+    """
+    import numpy as np
+
+    below = np.zeros(len(queries), dtype=bool)
+    active = np.arange(len(queries))
+    floor = prev[queries]
+    seen = np.zeros(len(queries), dtype=np.int64)
+    read = np.zeros(len(queries), dtype=np.int64)
+    chunk = 2 * ways
+    work = 0
+    while len(active):
+        take = np.minimum(lens - read, chunk)
+        total = int(take.sum())
+        work += total
+        if work > budget:
+            return None
+        first = np.cumsum(take) - take
+        positions = order[
+            np.repeat(starts + read - first, take) + np.arange(total, dtype=np.int64)
+        ]
+        introduces = prev[positions] < np.repeat(floor, take)
+        seen += np.add.reduceat(introduces, first, dtype=np.int64)
+        read += take
+        settled = seen >= ways
+        used_up = read >= lens
+        below[active[used_up & ~settled]] = True
+        going = ~(settled | used_up)
+        active, floor, starts, lens = active[going], floor[going], starts[going], lens[going]
+        seen, read = seen[going], read[going]
+        chunk *= 4
+    return below
 
 
 def _resident_sets(lines, set_of, prev, num_sets: int, ways: int) -> list[dict]:

@@ -84,6 +84,27 @@ class TestAnalyzePlan:
         assert len(analysis.core_block_counts) == 4
         assert all(c > 0 for c in analysis.core_block_counts)
 
+    def test_core_tags_computed_once(self, mirror_setup, fig9_machine, monkeypatch):
+        """Every level's replication reuses the one per-core tag pass."""
+        from repro.analysis import workingset
+
+        calls = []
+        core_tags = workingset._core_tags
+
+        def counted(plan, partition):
+            calls.append(plan.label)
+            return core_tags(plan, partition)
+
+        monkeypatch.setattr(workingset, "_core_tags", counted)
+        program, partition = mirror_setup
+        plan = base_plan(program.nests[0], fig9_machine)
+        analysis = analyze_plan(plan, partition)
+        assert len(calls) == 1
+        assert analysis.replication == {
+            level: replication_factor(plan, partition, level)
+            for level in fig9_machine.cache_levels()
+        }
+
 
 #: analyze_plan on sim-scaled dunnington for two indirect nests, at each
 #: workload's block size: (core block counts, replication per level,

@@ -1,5 +1,8 @@
 """Unit tests for dependence analysis."""
 
+import pytest
+
+from repro.errors import IRError
 from repro.ir.accesses import ArrayAccess
 from repro.ir.arrays import Array
 from repro.ir.dependences import (
@@ -92,3 +95,27 @@ class TestDependencePairs:
         for point in poly.points():
             src, sink = point[0], point[1]
             assert src < sink and src == sink - 4
+
+
+class TestIndirectBounds:
+    SOURCE = """
+        array X[4];
+        array idx[4];
+        for (i = 0; i < 4; i++)
+          X[idx[i]] = X[idx[i]] + 1;
+    """
+
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_out_of_range_index_raises(self, bad):
+        """An index outside X must raise, not evaluate to a wrong (here
+        empty) dependence set."""
+        nest = compile_source(self.SOURCE, index_data={"idx": [0, 1, bad, 3]}).nests[0]
+        with pytest.raises(IRError):
+            list(iteration_dependences(nest))
+        with pytest.raises(IRError):
+            has_loop_carried_dependence(nest)
+
+    def test_in_range_index_depends(self):
+        nest = compile_source(self.SOURCE, index_data={"idx": [0, 1, 1, 3]}).nests[0]
+        assert has_loop_carried_dependence(nest)
+        assert [(p.source, p.sink) for p in iteration_dependences(nest)] == [((1,), (2,))]

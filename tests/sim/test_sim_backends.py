@@ -44,6 +44,26 @@ def _private_machine() -> Machine:
     return Machine("priv4", 1.0, 60, TopologyNode.memory(l2s), sockets=1)
 
 
+def _tiny_l1_machine() -> Machine:
+    """Two cores, each with a one-set, two-way L1 of 32 B lines and a
+    private L2: a point touching three lines can never stay resident."""
+    l1 = CacheSpec("L1", 64, 2, 32, 2)
+    l2 = CacheSpec("L2", 4096, 4, 32, 8)
+    cores = [TopologyNode.core(i) for i in range(2)]
+    l1s = [TopologyNode.cache(l1, [c]) for c in cores]
+    l2s = [TopologyNode.cache(l2, [n]) for n in l1s]
+    return Machine("tiny-l1", 1.0, 60, TopologyNode.memory(l2s), sockets=1)
+
+
+def _smt_machine() -> Machine:
+    """Two SMT pairs: each pair of cores shares its L1, one L2 above."""
+    l1 = CacheSpec("L1", 1024, 2, 32, 2)
+    l2 = CacheSpec("L2", 4096, 4, 32, 8)
+    cores = [TopologyNode.core(i) for i in range(4)]
+    l1s = [TopologyNode.cache(l1, cores[0:2]), TopologyNode.cache(l1, cores[2:4])]
+    return Machine("smt4", 1.0, 60, TopologyNode.cache(l2, l1s), sockets=1)
+
+
 def _machine_state(msim: MachineSim):
     return [
         (cache.hits, cache.misses, cache.evictions,
@@ -215,6 +235,65 @@ class TestDifferential:
         assert run("python") == run("auto")
 
 
+@needs_numpy
+class TestRepeatedPoints:
+    """A point repeating its predecessor's lines is charged as first-level
+    hits without a level pass, but only when it cannot miss there."""
+
+    STREAMS = """
+        array X[4096];
+        array Y[4096];
+        array Z[4096];
+        parallel for (i = 0; i < 4096; i++)
+          X[i] = Y[i] + Z[i];
+    """
+    COPY = """
+        array X[4096];
+        array Y[4096];
+        parallel for (i = 0; i < 4096; i++)
+          X[i] = Y[i];
+    """
+
+    def _run(self, source, machine):
+        from repro import obs
+        from repro.obs.sinks import CollectorSink
+
+        plan = base_plan(compile_source(source, name="repeat").nests[0], machine)
+        with obs.tracing(CollectorSink()) as recorder:
+            result = assert_engines_agree(plan, machine)
+        return result, recorder.counters
+
+    def test_more_lines_than_ways_are_not_collapsed(self):
+        """Three lines in a two-way set: every access misses L1, though
+        three of every four points repeat their predecessor's lines."""
+        result, counters = self._run(self.STREAMS, _tiny_l1_machine())
+        assert result.levels[0].misses == 12288
+        assert counters["sim.repeated_accesses"] == 0
+
+    def test_repeats_within_ways_are_charged_as_hits(self):
+        result, counters = self._run(self.COPY, _tiny_l1_machine())
+        # Four 8 B elements per line: per core, 3 of every 4 of its 2048
+        # points repeat, two accesses each.
+        assert counters["sim.repeated_accesses"] == 2 * 1536 * 2
+        assert result.levels[0].hits == 2 * 1536 * 2
+
+    def test_shared_first_level_is_not_collapsed(self):
+        _result, counters = self._run(self.COPY, _smt_machine())
+        assert counters["sim.repeated_accesses"] == 0
+
+    @pytest.mark.parametrize("quantum", [1, 3, 8])
+    def test_smt_machine_randomized(self, stencil_program, quantum):
+        nest = stencil_program.nests[0]
+        points = list(chunk_iterations(nest, 1)[0])
+        random.Random(quantum).shuffle(points)
+        rounds = tuple(
+            (tuple(points[core::8]), tuple(points[core + 4 :: 8])) for core in range(4)
+        )
+        machine = _smt_machine()
+        plan = ExecutablePlan.from_points(machine, nest, rounds, "smt")
+        assert_engines_agree(plan, machine, quantum=quantum)
+
+
 class TestScalarBatchedEngine:
     """``auto`` with numpy unavailable (the no-numpy CI path): the oracle."""
 
@@ -281,6 +360,69 @@ class TestKernelDifferential:
         kernels.reset_fallback_warnings()
         with pytest.warns(RuntimeWarning, match="sim-unresolved"):
             self._check(ref, vec, lines)
+
+    def _refuse_fallback(self, monkeypatch):
+        def refuse(reason, site):
+            raise AssertionError(f"unexpected fallback {reason} at {site}")
+
+        monkeypatch.setattr(kc, "note_fallback", refuse)
+
+    @staticmethod
+    def _long_windows(hot, rest, run):
+        """``hot`` and ``rest`` once, ``rest`` again, a ``run``-long
+        alternation of the ``hot`` lines, then ``rest`` a third time: each
+        final ``rest`` access has a long window of lines all seen before
+        it opened, so no O(n) filter settles it."""
+        return hot + rest + rest + hot * (run // len(hot)) + rest
+
+    def test_windows_stop_at_ways_distinct_lines(self, monkeypatch):
+        """Full windows would sum to more than the work guard allows; read
+        in prefixes, each settles within its first 2 * ways elements."""
+        monkeypatch.setattr(kc, "MIN_NUMPY_STREAM", 0)
+        self._refuse_fallback(monkeypatch)
+        spec = CacheSpec("L1", 64, 2, 32, 2)
+        lines = self._long_windows([1, 2], list(range(10, 110)), 400)
+        assert 100 * 400 > kc.UNRESOLVED_WORK_FACTOR * len(lines)
+        self._check(SetAssociativeCache(spec), SetAssociativeCache(spec), lines)
+
+    @pytest.mark.parametrize("hot", [[1], [1, 2], [1, 2, 3, 4, 5]])
+    def test_windows_over_several_prefix_rounds(self, hot, monkeypatch):
+        """One set of four ways and three ``rest`` lines.  With one hot
+        line no window reaches four distinct lines, so each is read to its
+        end over four growing prefixes (8, 32, 128 and 512 elements); with
+        two, the last ``rest`` access finds its fourth line only at the
+        end of its window; with five, every window settles in its first
+        prefix."""
+        monkeypatch.setattr(kc, "MIN_NUMPY_STREAM", 0)
+        self._refuse_fallback(monkeypatch)
+        windows = []
+        scan = kc._fewer_distinct_than
+
+        def spy(order, prev, queries, starts, lens, ways, budget):
+            windows.extend(lens.tolist())
+            return scan(order, prev, queries, starts, lens, ways, budget)
+
+        monkeypatch.setattr(kc, "_fewer_distinct_than", spy)
+        spec = CacheSpec("L1", 128, 4, 32, 2)
+        lines = self._long_windows(hot, [10, 11, 12], 600)
+        self._check(SetAssociativeCache(spec), SetAssociativeCache(spec), lines)
+        assert max(windows) > 8 + 32 + 128
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_long_window_streams_warm_and_cold(self, seed, monkeypatch):
+        """Random hot-line runs between sparse cold-ish lines, fed in three
+        parts so the second and third start from warm state."""
+        monkeypatch.setattr(kc, "MIN_NUMPY_STREAM", 0)
+        rng = random.Random(500 + seed)
+        ref, vec = self._random_case(rng)
+        lines = []
+        while len(lines) < 1500:
+            hot = rng.sample(range(64), rng.randrange(1, 6))
+            lines += [rng.choice(hot) for _ in range(rng.randrange(20, 200))]
+            lines += rng.sample(range(64, 96), rng.randrange(1, 8))
+        cuts = sorted(rng.sample(range(1, len(lines)), 2))
+        for part in (lines[: cuts[0]], lines[cuts[0] : cuts[1]], lines[cuts[1] :]):
+            self._check(ref, vec, part)
 
     def test_short_stream_uses_scalar(self):
         """Below MIN_NUMPY_STREAM the scalar loop runs — still exact."""
