@@ -7,8 +7,16 @@ request gets a 5xx, if the past-deadline request is not degraded, if
 the daemon does not drain and exit cleanly, or if the plan in any
 distinct 200 body does not decode (``plan_from_json`` against the
 submitted program and the scaled machine, parsed the way the service
-parses them).  Latency percentiles, response sizes and the daemon's own
-/stats snapshot are written as a JSON artifact for the CI run to upload.
+parses them).  After the ``/map`` mix every variant gets a ``/remap``
+``core_loss`` of core 1, then a ``core_hotplug`` of it with
+``dead_cores: [1]``; the run also fails unless each answers 200 with a
+plan that decodes against the post-event machine, and the ``remap``
+stanza reads 3 stages replayed / 2 recomputed for the loss (the L1
+capacity stays put, so blocksize, tagging and dependence hit) and 5 / 0
+for the hot-plug (the post state is the one ``/map`` already mapped).
+Latency percentiles, response sizes, the remap rows and the daemon's
+own /stats snapshot are written as a JSON artifact for the CI run to
+upload.
 
 With ``--cache-dir DIR`` the daemon runs with ``--persistent --cache-dir
 DIR``.  After the drain the script boots it again over the same
@@ -39,7 +47,7 @@ sys.path.insert(0, SRC)
 
 from repro.runtime.serialize import plan_from_json  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
-from repro.service.protocol import parse_request  # noqa: E402
+from repro.service.protocol import parse_remap_request, parse_request  # noqa: E402
 
 SOURCE_TEMPLATE = """\
 param m = {m};
@@ -140,6 +148,49 @@ def decode_plans(answers, failures):
     return decoded
 
 
+#: The two /remap steps sent to every variant, with the (replayed,
+#: recomputed) stage counts each must report.
+REMAP_STEPS = (
+    ({"event": {"kind": "core_loss", "cores": [1]}}, (3, 2)),
+    ({"event": {"kind": "core_hotplug", "cores": [1]}, "dead_cores": [1]}, (5, 0)),
+)
+
+
+def remap_variants(client, failures):
+    """Lose core 1 of every variant's machine, then plug it back; returns
+    one row per /remap."""
+    rows = []
+    for index, source in enumerate(VARIANTS):
+        for step, expected in REMAP_STEPS:
+            payload = {"source": source, "machine": "dunnington", "scale": 32, **step}
+            kind = step["event"]["kind"]
+            status, _headers, body = client.request("POST", "/remap", payload)
+            row = {"variant": index, "kind": kind, "status": status}
+            rows.append(row)
+            if status != 200:
+                failures.append(
+                    f"/remap {kind} of variant {index}: HTTP {status}: {body[:200]!r}"
+                )
+                continue
+            parsed = json.loads(body)
+            stanza = parsed.get("remap", {})
+            counts = (stanza.get("stages_replayed"), stanza.get("stages_recomputed"))
+            row["replayed"], row["recomputed"] = counts
+            if counts != expected:
+                failures.append(
+                    f"/remap {kind} of variant {index}: replayed/recomputed "
+                    f"{counts}, expected {expected}"
+                )
+            try:
+                post = parse_remap_request(payload).post
+                plan_from_json(json.dumps(parsed["mapping"]), post.program, post.machine)
+            except Exception as error:  # noqa: BLE001 - every failure is reported
+                failures.append(
+                    f"/remap {kind} plan does not decode: {type(error).__name__}: {error}"
+                )
+    return rows
+
+
 def drain(proc, failures):
     """SIGTERM the daemon and wait for a clean exit; returns its code."""
     proc.send_signal(signal.SIGTERM)
@@ -203,6 +254,7 @@ def main(argv=None):
     proc, port = boot_daemon(args.workers, daemon_args)
     failures = []
     results = []
+    remaps = []
     try:
         client = ServiceClient(port=port, timeout=120)
         client.wait_ready(timeout=30)
@@ -212,6 +264,7 @@ def main(argv=None):
                 for index in range(args.requests)
             ]
             results = [f.result() for f in futures]
+        remaps = remap_variants(client, failures)
         stats = client.stats()
     finally:
         exit_code = drain(proc, failures)
@@ -248,12 +301,14 @@ def main(argv=None):
             "max": sizes[-1] if sizes else None,
         },
         "plans_decoded": decoded,
+        "remaps": remaps,
         "daemon_exit_code": exit_code,
         "stats": stats,
         "failures": failures,
     }
     summary_keys = ["requests", "statuses", "cache_tiers", "latency_ms",
-                    "response_bytes", "plans_decoded", "daemon_exit_code"]
+                    "response_bytes", "plans_decoded", "remaps",
+                    "daemon_exit_code"]
     if args.cache_dir:
         report["persistent"], restart_stderr = check_restart(
             args.workers, daemon_args, args.cache_dir, failures

@@ -454,7 +454,6 @@ def cmd_remap(args) -> int:
             outcome.machine.num_cores,
             outcome.stages_replayed,
             outcome.stages_recomputed,
-            outcome.carried,
             f"{outcome.elapsed_ms:.1f}",
         ))
     if args.json:
@@ -466,7 +465,6 @@ def cmd_remap(args) -> int:
                 "cores": o.machine.num_cores,
                 "stages_replayed": o.stages_replayed,
                 "stages_recomputed": o.stages_recomputed,
-                "carried": o.carried,
                 "elapsed_ms": round(o.elapsed_ms, 3),
             }
             for o in outcomes
@@ -475,21 +473,28 @@ def cmd_remap(args) -> int:
     print(f"remapper on {machine.name}: "
           f"{len(program.nests)} nest(s) primed, {len(events)} event(s)")
     print(format_table(
-        ["event", "nests", "cores", "replayed", "recomputed", "carried", "ms"],
-        rows,
+        ["event", "nests", "cores", "replayed", "recomputed", "ms"], rows
     ))
     return 0
 
 
 def _remap_via_service(args, events: list[dict], knobs: dict) -> int:
+    from repro.pipeline.knobs import Knobs
+    from repro.remap import RemapState, parse_event, transition
     from repro.service.client import ServiceClient
 
     with open(args.source, "r", encoding="utf-8") as handle:
         source = handle.read()
+    name = args.source.rsplit("/", 1)[-1].split(".")[0]
     client = ServiceClient(host=args.host, port=args.port, timeout=args.timeout)
     # The wire protocol is stateless: the client carries the accumulated
-    # dead-core set between calls so each /remap states the full pre state.
-    dead: set[int] = set(args.dead_cores or ())
+    # dead-core set between calls so each /remap states the full pre
+    # state, stepping it with the remapper's own transition.
+    state = RemapState(
+        resolve_machine(args.machine),
+        frozenset(args.dead_cores or ()),
+        {nest.name: Knobs(**knobs) for nest in compile_source(source, name=name).nests},
+    )
     rows = []
     responses = []
     for raw in events:
@@ -500,33 +505,25 @@ def _remap_via_service(args, events: list[dict], knobs: dict) -> int:
             nest=args.nest,
             scale=float(args.scale),
             knobs=knobs,
-            dead_cores=sorted(dead),
-            name=args.source.rsplit("/", 1)[-1].split(".")[0],
+            dead_cores=sorted(state.dead),
+            name=name,
         )
         responses.append(response)
-        kind = raw.get("kind")
-        if kind == "core_loss":
-            dead.update(raw.get("cores", ()))
-        elif kind == "core_hotplug":
-            dead.difference_update(raw.get("cores", ()))
-        elif kind == "topology_edit":
-            dead.clear()
+        state, _affected = transition(state, parse_event(raw))
         stanza = response["remap"]
         rows.append((
-            kind,
+            raw.get("kind"),
             response["nest"],
             stanza["cores"],
             stanza["stages_replayed"],
             stanza["stages_recomputed"],
-            stanza["carried"],
             f"{response['elapsed_ms']:.1f}",
         ))
     if args.json:
         print(json.dumps(responses, indent=2))
         return 0
     print(format_table(
-        ["event", "nest", "cores", "replayed", "recomputed", "carried", "ms"],
-        rows,
+        ["event", "nest", "cores", "replayed", "recomputed", "ms"], rows
     ))
     return 0
 

@@ -9,14 +9,17 @@ explicit :class:`~repro.pipeline.core.Stage` sequence driven by
 :class:`~repro.pipeline.core.MappingPipeline`, where every stage
 produces an immutable artifact keyed by
 
-    (stage, program digest, nest, topology digest, per-stage knob tuple)
+    (stage, program digest, nest, per-stage knob tuple, machine fact)
 
 so a request that only changes a *late* knob (α/β, balance threshold,
 local scheduling on/off) replays from the deepest cached stage instead
 of re-tagging from scratch.  The knob tuple is cumulative — a stage's
 key covers its own knobs plus every upstream stage's — which is exactly
 the invalidation the chain needs: changing the block size invalidates
-everything, changing α/β invalidates only the schedule.
+everything, changing α/β invalidates only the schedule.  The machine
+fact is likewise only what the stage (or one upstream) reads of the
+machine, so a new machine re-runs distribution and scheduling and keeps
+tagging and dependence analysis.
 
 Layout:
 
@@ -26,8 +29,9 @@ Layout:
   outputs (:class:`TagArtifact`, :class:`GroupArtifact`,
   :class:`DependenceArtifact`, :class:`TreeAssignment`, and the plan);
 * :mod:`repro.pipeline.store` — the in-process LRU artifact store;
-* :mod:`repro.pipeline.persist` — the optional persistent plan tier
-  (same content-fingerprint discipline as :mod:`repro.experiments.cache`);
+* :mod:`repro.pipeline.persist` — the optional persistent plan tier of
+  the service (same content-fingerprint discipline as
+  :mod:`repro.experiments.cache`);
 * :mod:`repro.pipeline.core` — the stages and :class:`MappingPipeline`,
   which runs them.
 

@@ -5,19 +5,26 @@
     blocksize → tagging → dependence → distribute → schedule
 
 — looking each stage up in the artifact store before computing it.  A
-stage's key is ``(stage, program digest, nest, topology digest,
-cumulative knob tuple, ident epoch)``; because the knob tuple is
-cumulative (see :mod:`repro.pipeline.knobs`), a run that differs from a
-cached one only in a late knob replays every earlier stage from the
-store.  The observable behavior — span names, decision counters, the
-per-phase ``timings`` dict, and above all the produced plan — is
-bit-identical to the monolithic ``TopologyAwareMapper.map_nest`` chain
-this driver replaced; the differential suite in
-``tests/pipeline/test_differential.py`` holds it to that.
+stage's key is ``(stage, program digest, nest, cumulative knob tuple,
+machine fact, ident epoch)``.  The knob tuple is cumulative (see
+:mod:`repro.pipeline.knobs`), so a run that differs from a cached one
+only in a late knob replays every earlier stage from the store.  The
+machine fact is only what the stage, or a stage upstream of it, reads
+of the machine: ``blocksize`` reads the core-0 L1 capacity, and only
+when ``block_size`` is unset (Section 4.1); ``tagging`` and
+``dependence`` read no machine; ``distribute`` and ``schedule`` walk
+the cache tree (Figures 6 and 7) and key on the machine digest.  So a
+core loss, a hot-plug or a topology edit that keeps the L1 capacity
+replays the first three stages through plain key hits.  The observable
+behavior — span names, decision counters, the per-phase ``timings``
+dict, and above all the produced plan — is bit-identical to the
+monolithic ``TopologyAwareMapper.map_nest`` chain this driver replaced;
+the differential suite in ``tests/pipeline/test_differential.py`` holds
+it to that.
 
 Stage bodies never mutate their inputs (the schedule copies assignment
 lists before draining them; distribution builds fresh lists), so cached
-artifacts are safely shared across runs and threads.
+artifacts are safely shared across runs, machines and threads.
 """
 
 from __future__ import annotations
@@ -46,7 +53,6 @@ from repro.pipeline.artifacts import (
     TreeAssignment,
 )
 from repro.pipeline.knobs import STAGE_ORDER, Knobs
-from repro.pipeline.persist import PlanStore
 from repro.pipeline.store import ArtifactStore, ident_epoch
 from repro.runtime.serialize import program_digest
 from repro.topology.tree import Machine
@@ -59,8 +65,9 @@ class Stage:
     ``compute`` receives ``(pipeline, program, nest, upstream, span)``
     where ``upstream`` maps stage names to their artifacts; it must not
     mutate any upstream artifact.  The knob subset a stage reads is
-    declared in :data:`repro.pipeline.knobs.STAGE_KNOBS`, which the
-    driver folds into the stage's cache key.
+    declared in :data:`repro.pipeline.knobs.STAGE_KNOBS` and the machine
+    fact it reads by :meth:`MappingPipeline.machine_fact`; the driver
+    folds both into the stage's cache key.
     """
 
     __slots__ = ("name", "span_name", "timing_key", "compute")
@@ -81,13 +88,17 @@ class Stage:
         return f"Stage({self.name!r})"
 
 
+def _l1_bytes(machine: Machine) -> int:
+    """Core 0's L1 capacity: all the §4.1 block-size heuristic reads."""
+    return machine.cache_path(0)[0].spec.size_bytes
+
+
 def _stage_blocksize(
     pipe: "MappingPipeline", program: Program, nest: LoopNest, upstream, sp
 ) -> BlockChoice:
     block_size = pipe.knobs.block_size
     if block_size is None:
-        l1 = pipe.machine.cache_path(0)[0].spec.size_bytes
-        block_size = choose_block_size(program, nest, l1)
+        block_size = choose_block_size(program, nest, _l1_bytes(pipe.machine))
     arrays = [program.arrays[a.name] for a in nest.arrays()]
     return BlockChoice(block_size, DataBlockPartition(arrays, block_size))
 
@@ -179,9 +190,8 @@ class MappingPipeline:
     ``store=None`` disables stage reuse entirely (every stage computes);
     that is the mapper's default so one-shot CLI runs and the
     compile-time ablation keep honest timings, while the harness, the
-    service engine and the autotuner pass a shared
-    :class:`~repro.pipeline.store.ArtifactStore`.  ``plans`` optionally
-    adds the persistent final-plan tier consulted by :meth:`plan`.
+    service engine, the remapper and the autotuner pass a shared
+    :class:`~repro.pipeline.store.ArtifactStore`.
     """
 
     def __init__(
@@ -189,13 +199,11 @@ class MappingPipeline:
         machine: Machine,
         knobs: Knobs | None = None,
         store: ArtifactStore | None = None,
-        plans: PlanStore | None = None,
         observer: Callable[[str, bool], None] | None = None,
     ):
         self.machine = machine
         self.knobs = knobs if knobs is not None else Knobs()
         self.store = store
-        self.plans = plans
         # Per-pipeline stage observer: called as observer(stage_name,
         # hit) once per stage execution.  Unlike the global store
         # counters this is race-free under concurrent pipelines, which
@@ -205,25 +213,35 @@ class MappingPipeline:
     # -- keys -----------------------------------------------------------
 
     def _base_key(self, program: Program, nest: LoopNest) -> tuple:
-        return (program_digest(program), nest.name, machine_digest(self.machine))
+        return (program_digest(program), nest.name)
+
+    def machine_fact(self, stage: str):
+        """What ``stage`` and the stages upstream of it read of the machine.
+
+        The machine digest of a tree-walking stage covers the L1
+        capacity, so no stage needs more than one fact.
+        """
+        if stage in ("distribute", "schedule"):
+            return machine_digest(self.machine)
+        if self.knobs.block_size is None:
+            return _l1_bytes(self.machine)
+        return None
 
     def stage_key(self, stage: str, base: tuple) -> tuple:
-        """The store key of one stage for one (program, nest, machine).
+        """The store key of one stage for one (program, nest).
 
         The ident epoch suffix makes keys from before an
         ``IterationGroup.reset_idents`` miss (their artifacts reference
         retired idents); it is process-local, hence excluded from the
         persistent tier's keys.
         """
-        return (stage, *base, self.knobs.stage_tuple(stage), ident_epoch())
+        knobs = self.knobs.stage_tuple(stage)
+        return (stage, *base, knobs, self.machine_fact(stage), ident_epoch())
 
     def plan_key(self, program: Program, nest: LoopNest) -> tuple:
-        """The persistent tier's key: content-only, no ident epoch."""
-        return (
-            "schedule",
-            *self._base_key(program, nest),
-            self.knobs.stage_tuple("schedule"),
-        )
+        """The persistent plan tier's key: the schedule stage's key
+        without the ident epoch (content only)."""
+        return self.stage_key("schedule", self._base_key(program, nest))[:-1]
 
     # -- execution ------------------------------------------------------
 
@@ -238,10 +256,10 @@ class MappingPipeline:
         span_kwargs: dict,
         tag_hit: Callable | None = None,
     ):
-        key = self.stage_key(stage.name, base)
+        key = self.stage_key(stage.name, base) if self.store is not None else None
         t0 = time.perf_counter()
         with obs.span(stage.span_name, **span_kwargs) as sp:
-            artifact = self.store.get(key) if self.store is not None else None
+            artifact = self.store.get(key) if key is not None else None
             if self.observer is not None:
                 self.observer(stage.name, artifact is not None)
             if artifact is not None:
@@ -313,19 +331,3 @@ class MappingPipeline:
     def map_program(self, program: Program) -> list[MappingResult]:
         """Map every nest of a program (each nest independently)."""
         return [self.map_nest(program, nest) for nest in program.nests]
-
-    def plan(self, program: Program, nest: LoopNest):
-        """An :class:`~repro.mapping.distribute.ExecutablePlan` for one
-        nest, consulting the persistent plan tier when configured."""
-        key = None
-        if self.plans is not None:
-            key = self.plan_key(program, nest)
-            cached = self.plans.get(key, self.machine, nest)
-            if cached is not None:
-                obs.count("pipeline.plan.disk_hits")
-                return cached
-            obs.count("pipeline.plan.disk_misses")
-        plan = self.map_nest(program, nest).plan()
-        if self.plans is not None:
-            self.plans.put(key, plan)
-        return plan

@@ -14,11 +14,17 @@ stage (its own knobs plus every upstream stage's), which is the part of
 a stage artifact's cache key that makes late-knob sweeps cheap: two
 configurations that differ only in α/β share every tuple up to and
 including ``distribute`` and diverge only at ``schedule``.
+
+:class:`Knobs` also owns the knob names, their defaults and their JSON
+codec (:meth:`Knobs.decode`): the service's ``/map`` knobs and a remap
+``phase_change`` event's knobs are both decoded by it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import dataclasses
+from dataclasses import dataclass
+from typing import get_args, get_type_hints
 
 from repro.errors import MappingError
 
@@ -39,15 +45,14 @@ STAGE_KNOBS: dict[str, tuple[str, ...]] = {
     "schedule": ("local_scheduling", "alpha", "beta"),
 }
 
-_FLOAT_KNOBS = frozenset({"balance_threshold", "alpha", "beta"})
-
 
 @dataclass(frozen=True)
 class Knobs:
     """Mapper parameters, normalized for hashing (the knob tuple).
 
-    Defaults mirror the service protocol's (Section 4.1 values with
-    local scheduling on); :class:`~repro.mapping.distribute.TopologyAwareMapper`
+    The defaults (Section 4.1 values with local scheduling on) are what
+    a service request gets for every knob it leaves out;
+    :class:`~repro.mapping.distribute.TopologyAwareMapper`
     constructs its own instance from its arguments, so its historical
     ``local_scheduling=False`` default is unaffected.
     """
@@ -77,9 +82,7 @@ class Knobs:
 
     def _value(self, name: str):
         value = getattr(self, name)
-        if name in _FLOAT_KNOBS:
-            return round(value, 6)
-        return value
+        return round(value, 6) if _KINDS[name][0] is float else value
 
     def stage_tuple(self, stage: str) -> tuple:
         """Cumulative knob tuple for ``stage``: its knobs plus upstream's.
@@ -107,6 +110,47 @@ class Knobs:
 
     def replace(self, **changes) -> "Knobs":
         """A copy with some knobs changed (sweep convenience)."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(changes)
-        return Knobs(**values)
+        return dataclasses.replace(self, **changes)
+
+    def decode(self, changes: object, exclude: tuple[str, ...] = ()) -> "Knobs":
+        """A copy with a decoded JSON object of knob changes applied.
+
+        This is the one wire codec for knobs, and it checks rather than
+        coerces: an int knob takes a JSON integer (not a bool or a
+        float), a float knob an integer or a float, a bool knob a bool,
+        a str knob a string, and ``null`` only where the field is
+        optional.  ``exclude`` names knobs the caller's surface does
+        not accept.
+        """
+        if not isinstance(changes, dict):
+            raise MappingError("'knobs' must be an object")
+        known = sorted(set(_KINDS) - set(exclude))
+        unknown = sorted(set(changes) - set(known))
+        if unknown:
+            raise MappingError(f"unknown knobs {unknown}; known: {known}")
+        return self.replace(**{name: _checked(name, v) for name, v in changes.items()})
+
+
+def _kind(hint) -> tuple[type, bool]:
+    args = get_args(hint) or (hint,)
+    return next(a for a in args if a is not type(None)), type(None) in args
+
+
+#: Per knob: its JSON kind and whether it may be ``null``, read off the
+#: field annotations of :class:`Knobs`.
+_KINDS: dict[str, tuple[type, bool]] = {
+    name: _kind(hint) for name, hint in get_type_hints(Knobs).items()
+}
+
+
+def _checked(name: str, value: object) -> object:
+    kind, optional = _KINDS[name]
+    if value is None and optional:
+        return None
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise MappingError(
+            f"knob {name!r} must be {kind.__name__}, got {type(value).__name__}"
+        )
+    return value

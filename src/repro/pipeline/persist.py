@@ -13,9 +13,10 @@ ident epoch, in the ``plans`` namespace of
 module for the fingerprint, the cross-process merge-on-write and the
 single-writer compaction).
 
-:meth:`MappingPipeline.plan` consults this tier before running anything,
-which makes cold-process sweeps (a fresh ``repro tune`` over knobs
-already explored yesterday) skip the whole chain.
+The service engine (:func:`repro.service.engine.compute_mapping`)
+consults this tier before running anything, so a restarted daemon, or
+a sibling worker of the shard, serves a plan computed earlier without
+running the chain.
 """
 
 from __future__ import annotations

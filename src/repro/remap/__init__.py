@@ -7,7 +7,10 @@ Paulino & Delgado's run-time decomposition in PAPERS.md): a
 program and reacts to :mod:`~repro.remap.events` — phase changes, core
 loss/hot-plug, topology edits — by replaying every still-valid pipeline
 stage from the :class:`~repro.pipeline.store.ArtifactStore` and
-recomputing only the dirtied suffix.  An
+recomputing only the dirtied suffix.  The state transition
+(:func:`~repro.remap.core.transition`) and the replay with its
+replayed/recomputed count (:func:`~repro.remap.core.replay`) exist once
+and serve the remapper, the service and the CLI.  An
 :class:`~repro.remap.watch.ExecutionWatcher` turns the
 :class:`~repro.sim.dynamic.BehaviorModel` observation stream into those
 events.
@@ -19,7 +22,7 @@ The service exposes the same machinery per-request via ``POST /remap``
 (see :mod:`repro.service`), and the CLI as ``repro remap``.
 """
 
-from repro.remap.core import Remapper, RemapOutcome, carry_prefix, cold_plan
+from repro.remap.core import Remapper, RemapOutcome, RemapState, cold_plan, replay, transition
 from repro.remap.events import (
     CoreHotplug,
     CoreLoss,
@@ -39,13 +42,15 @@ __all__ = [
     "PhaseChange",
     "RemapEvent",
     "RemapOutcome",
+    "RemapState",
     "Remapper",
     "TopologyEdit",
     "WatchPolicy",
-    "carry_prefix",
     "cold_plan",
     "event_kind",
     "event_to_dict",
     "knobs_for_signals",
     "parse_event",
+    "replay",
+    "transition",
 ]

@@ -9,17 +9,19 @@ suffix of the five-stage pipeline:
   cumulative knob tuples, so this dirties exactly the stages downstream
   of the earliest changed knob — for only the affected nests.
 * :class:`CoreLoss` / :class:`CoreHotplug` — cores go away or come
-  back.  The machine digest changes, which misses every stage key; the
-  remapper re-keys the machine-independent prefix (blocksize, tagging,
-  dependence) and recomputes only distribute→schedule.
+  back.  The machine digest changes, and only ``distribute`` and
+  ``schedule`` key on it; blocksize, tagging and dependence keep their
+  keys, and replay, as long as core 0's L1 capacity (all blocksize
+  reads) stays put.
 * :class:`TopologyEdit` — the mapper's machine view is replaced
   wholesale (cache scaling, level truncation, a different tree).  Same
-  invalidation as core loss, with the carry-forward guarded on the L1
-  capacity staying put (the only topology input of the prefix stages).
+  invalidation as core loss, unless the block size is unset and the
+  edit changes the L1 capacity: then every stage recomputes.
 
 Core ids in events are always *physical* ids of the base machine, never
-the renumbered ids of an already-pruned machine — the remapper owns the
-dead-set and derives the pruned view itself.
+the renumbered ids of an already-pruned machine — the remap state holds
+the dead-set and derives the pruned view itself
+(:func:`repro.remap.core.transition`).
 
 :func:`parse_event` / :func:`event_to_dict` are the wire codec shared by
 the service protocol and the CLI.
@@ -30,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from repro.errors import RemapError
+from repro.errors import MappingError, RemapError
+from repro.pipeline.knobs import Knobs
 from repro.topology.tree import Machine
 
 __all__ = [
@@ -44,38 +47,26 @@ __all__ = [
     "parse_event",
 ]
 
-#: Knob names a phase change may adjust: the wire knob surface plus the
-#: tagging guard (phase shifts legitimately coarsen/refine grouping).
-PHASE_KNOBS = frozenset(
-    {
-        "block_size",
-        "balance_threshold",
-        "alpha",
-        "beta",
-        "local_scheduling",
-        "dependence_policy",
-        "cluster_strategy",
-        "max_groups",
-    }
-)
-
 
 @dataclass(frozen=True)
 class PhaseChange:
     """The workload entered a phase that wants different knobs.
 
     ``knobs`` is a sorted tuple of ``(name, value)`` changes (kept as a
-    tuple so events are hashable); ``nest`` optionally restricts the
-    change to one nest — ``None`` means every nest of the program.
+    tuple so events are hashable), checked by the one knob codec
+    (:meth:`~repro.pipeline.knobs.Knobs.decode`); ``nest`` optionally
+    restricts the change to one nest — ``None`` means every nest of the
+    program.
     """
 
     knobs: tuple[tuple[str, object], ...]
     nest: str | None = None
 
     def __post_init__(self) -> None:
-        unknown = sorted(set(name for name, _ in self.knobs) - PHASE_KNOBS)
-        if unknown:
-            raise RemapError(f"phase change with unknown knobs {unknown}")
+        try:
+            Knobs().decode(self.knob_changes)
+        except MappingError as error:
+            raise RemapError(f"phase change: {error}") from None
 
     @staticmethod
     def of(nest: str | None = None, **knobs) -> "PhaseChange":

@@ -85,7 +85,7 @@ class ExecutionWatcher:
     def __init__(self, remapper: Remapper, policy: WatchPolicy | None = None):
         self.remapper = remapper
         self.policy = policy or WatchPolicy()
-        self._active: set[int] = set(remapper.base_machine.core_ids()) - remapper.dead
+        self._active: set[int] = set(remapper.state.base.core_ids()) - remapper.dead
         #: Per-nest (imbalance, sharing) levels at the last remap.
         self._last: dict[str, tuple[float, float]] = {}
         self.samples_seen = 0

@@ -27,7 +27,7 @@ import time
 
 from repro import obs
 from repro.mapping.baselines import base_plan
-from repro.mapping.distribute import ExecutablePlan
+from repro.mapping.distribute import ExecutablePlan, MappingResult
 from repro.pipeline.core import MappingPipeline
 from repro.pipeline.store import default_store
 from repro.poly.runs import run_points
@@ -56,6 +56,20 @@ def _payload(
     }
 
 
+def _stats(result: MappingResult, elapsed_ms: float) -> dict:
+    """The ``stats`` of a pipeline-computed payload."""
+    return {
+        "groups": len(result.group_set),
+        "blocks": result.partition.num_blocks,
+        "block_size": result.partition.block_size,
+        "pipeline_ms": round(elapsed_ms, 3),
+        "timings_ms": {
+            phase: round(seconds * 1e3, 3)
+            for phase, seconds in result.timings.items()
+        },
+    }
+
+
 def compute_mapping(request: MappingRequest, plans=None) -> dict:
     """Run the staged pipeline; the result is the cacheable response body.
 
@@ -65,9 +79,7 @@ def compute_mapping(request: MappingRequest, plans=None) -> dict:
     process of the shard) without running any stage, and a computed plan
     is written through for the siblings.
     """
-    pipeline = MappingPipeline(
-        request.machine, request.knobs, store=default_store(), plans=plans
-    )
+    pipeline = MappingPipeline(request.machine, request.knobs, store=default_store())
     if plans is not None:
         plan_key = pipeline.plan_key(request.program, request.nest)
         started = time.perf_counter()
@@ -92,91 +104,44 @@ def compute_mapping(request: MappingRequest, plans=None) -> dict:
     plan = result.plan()
     if plans is not None:
         plans.put(plan_key, plan)
-    stats = {
-        "groups": len(result.group_set),
-        "blocks": result.partition.num_blocks,
-        "block_size": result.partition.block_size,
-        "pipeline_ms": round(elapsed_ms, 3),
-        "timings_ms": {
-            phase: round(seconds * 1e3, 3)
-            for phase, seconds in result.timings.items()
-        },
-    }
-    return _payload(request, plan, stats)
+    return _payload(request, plan, _stats(result, elapsed_ms))
 
 
 def compute_remap(remap: RemapRequest, plans=None) -> dict:
     """Incrementally remap one nest after an event (``POST /remap``).
 
-    Carries the machine-independent stage prefix from the pre-state's
-    keys to the post-state's when the topology changed (see
-    :func:`repro.remap.core.carry_prefix`), then maps the post state
-    with the shared artifact store — replayed stages hit, dirtied ones
-    recompute.  The result is the exact payload a ``/map`` of the post
-    state would produce, extended with a ``"remap"`` stanza accounting
-    for what was replayed vs recomputed.
+    Maps the post state through the shared artifact store with the
+    remapper's own :func:`~repro.remap.core.replay`: stages whose keys
+    the event left alone hit, dirtied ones recompute.  The result is
+    the exact payload a ``/map`` of the post state would produce,
+    extended with a ``"remap"`` stanza accounting for what was replayed
+    vs recomputed.
 
     The response-level mapping cache and the plan disk tier are *not*
     consulted: the point of the endpoint is an honest incremental
     recompute of the post state (a computed plan is still written
     through to ``plans`` for later ``/map`` traffic).
     """
-    from repro.remap.core import carry_prefix
+    from repro.remap.core import replay
 
-    pre, post = remap.pre, remap.post
-    store = default_store()
-    carried = 0
-    if pre.topology_key != post.topology_key:
-        carried = carry_prefix(
-            store, post.program, post.nest,
-            pre.machine, post.machine, pre.knobs, post.knobs,
-        )
-    replayed = recomputed = 0
-
-    def observe(stage: str, hit: bool) -> None:
-        nonlocal replayed, recomputed
-        if hit:
-            replayed += 1
-        else:
-            recomputed += 1
-
-    kind = remap.event.get("kind", "unknown")
-    pipeline = MappingPipeline(
-        post.machine, post.knobs, store=store, observer=observe
-    )
+    post = remap.post
     started = time.perf_counter()
-    with obs.span(
-        "service.remap",
-        nest=post.nest.name,
-        machine=post.machine.name,
-        event=kind,
-    ) as sp:
-        result = pipeline.map_nest(post.program, post.nest)
-        sp.tag(replayed=replayed, recomputed=recomputed, carried=carried)
+    results, replayed, recomputed = replay(
+        post.program, post.machine, {post.nest.name: post.knobs},
+        default_store(), remap.event["kind"],
+    )
     elapsed_ms = (time.perf_counter() - started) * 1e3
-    obs.count("remap.stages_replayed", replayed)
-    obs.count("remap.stages_recomputed", recomputed)
-    obs.count(f"remap.events.{kind}")
+    result = results[post.nest.name]
     plan = result.plan()
     if plans is not None:
+        pipeline = MappingPipeline(post.machine, post.knobs)
         plans.put(pipeline.plan_key(post.program, post.nest), plan)
-    stats = {
-        "groups": len(result.group_set),
-        "blocks": result.partition.num_blocks,
-        "block_size": result.partition.block_size,
-        "pipeline_ms": round(elapsed_ms, 3),
-        "timings_ms": {
-            phase: round(seconds * 1e3, 3)
-            for phase, seconds in result.timings.items()
-        },
-    }
-    payload = _payload(post, plan, stats)
+    payload = _payload(post, plan, _stats(result, elapsed_ms))
     payload["remap"] = {
         "event": remap.event,
         "stages_replayed": replayed,
         "stages_recomputed": recomputed,
-        "carried": carried,
-        "pre_machine": pre.machine.name,
+        "pre_machine": remap.pre_machine,
         "machine": post.machine.name,
         "cores": post.machine.num_cores,
     }

@@ -16,6 +16,7 @@ server should answer with, so the transport layer never needs to guess.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -28,7 +29,6 @@ from repro.runtime.serialize import program_digest, program_from_dict
 from repro.topology.tree import Machine
 
 __all__ = [
-    "KNOB_DEFAULTS",
     "BadRequest",
     "Knobs",
     "MappingRequest",
@@ -39,22 +39,6 @@ __all__ = [
     "parse_remap_request",
     "parse_request",
 ]
-
-#: Knob names accepted in a request's ``knobs`` object, with defaults.
-#: ``block_size=None`` means the Section 4.1 heuristic.  Values mirror
-#: :class:`repro.pipeline.knobs.Knobs` — the canonical knob dataclass
-#: every cache key in the repo derives from — but the wire surface stays
-#: the historical seven (``max_groups`` is not a request knob; clients
-#: get the default).
-KNOB_DEFAULTS: dict[str, Any] = {
-    "block_size": None,
-    "balance_threshold": 0.10,
-    "alpha": 0.5,
-    "beta": 0.5,
-    "local_scheduling": True,
-    "dependence_policy": "barrier",
-    "cluster_strategy": "greedy",
-}
 
 
 class ServiceError(ReproError):
@@ -133,34 +117,15 @@ def _require(payload: dict, kind: type, key: str, default: Any = None) -> Any:
 
 
 def _parse_knobs(payload: dict) -> Knobs:
-    raw = payload.get("knobs", {})
-    if not isinstance(raw, dict):
-        raise BadRequest("'knobs' must be an object")
-    unknown = set(raw) - set(KNOB_DEFAULTS)
-    if unknown:
-        raise BadRequest(
-            f"unknown knobs {sorted(unknown)}; known: {sorted(KNOB_DEFAULTS)}"
-        )
-    values = dict(KNOB_DEFAULTS)
-    values.update(raw)
+    """The request's knobs over the :class:`Knobs` defaults.
+
+    ``max_groups`` is the tagging guard, not a request knob: requests
+    get its default (a remap ``phase_change`` may still move it).
+    """
     try:
-        return Knobs(
-            block_size=(
-                None if values["block_size"] is None else int(values["block_size"])
-            ),
-            balance_threshold=float(values["balance_threshold"]),
-            alpha=float(values["alpha"]),
-            beta=float(values["beta"]),
-            local_scheduling=bool(values["local_scheduling"]),
-            dependence_policy=str(values["dependence_policy"]),
-            cluster_strategy=str(values["cluster_strategy"]),
-        )
+        return Knobs().decode(payload.get("knobs", {}), exclude=("max_groups",))
     except ReproError as error:
-        # Knobs.__post_init__ rejects bad policies/strategies/sizes with
-        # the same messages the service historically produced.
         raise BadRequest(str(error)) from None
-    except (TypeError, ValueError) as error:
-        raise BadRequest(f"malformed knobs: {error}") from None
 
 
 def _parse_program(payload: dict) -> Program:
@@ -269,61 +234,19 @@ def parse_request(
 
 # -- /remap ----------------------------------------------------------------
 
-#: Knobs a phase-change event may adjust: the wire surface plus the
-#: tagging guard (phase shifts legitimately coarsen/refine grouping).
-_EVENT_KNOBS = set(KNOB_DEFAULTS) | {"max_groups"}
-
-_INT_EVENT_KNOBS = frozenset({"block_size", "max_groups"})
-_FLOAT_EVENT_KNOBS = frozenset({"balance_threshold", "alpha", "beta"})
-_BOOL_EVENT_KNOBS = frozenset({"local_scheduling"})
-
 
 @dataclass
 class RemapRequest:
-    """One validated remap request: pre-event and post-event states.
+    """One validated remap request: the post-event state to map.
 
-    ``pre`` is the state the caller was running under (base machine
-    minus ``dead_cores``, the request knobs); ``post`` is the state the
-    event transitions to.  The engine carries the machine-independent
-    stage prefix from pre-keys to post-keys and maps ``post`` — the
-    response's plan is always a plan *of the post state*.
+    ``post`` is the request with the machine and knobs the event
+    transitions to — the response's plan is always a plan *of the post
+    state*; ``pre_machine`` names the machine the caller ran on before.
     """
 
-    pre: MappingRequest
     post: MappingRequest
+    pre_machine: str
     event: dict  # canonical echo, JSON-serializable
-
-
-def _parse_core_list(raw: Any, field_name: str) -> tuple[int, ...]:
-    if not isinstance(raw, list) or any(
-        isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in raw
-    ):
-        raise BadRequest(f"{field_name!r} must be a list of non-negative core ids")
-    if len(set(raw)) != len(raw):
-        raise BadRequest(f"duplicate core ids in {field_name!r}")
-    return tuple(sorted(raw))
-
-
-def _coerce_event_knob(name: str, value: Any):
-    try:
-        if name in _INT_EVENT_KNOBS:
-            return None if value is None else int(value)
-        if name in _FLOAT_EVENT_KNOBS:
-            return float(value)
-        if name in _BOOL_EVENT_KNOBS:
-            if not isinstance(value, bool):
-                raise BadRequest(f"knob {name!r} must be a boolean")
-            return value
-        return str(value)
-    except (TypeError, ValueError) as error:
-        raise BadRequest(f"malformed knob {name!r}: {error}") from None
-
-
-def _prune(machine: Machine, dead: tuple[int, ...], what: str) -> Machine:
-    try:
-        return machine.without_cores(dead)
-    except ReproError as error:
-        raise BadRequest(f"{what}: {error}") from None
 
 
 def parse_remap_request(
@@ -338,94 +261,43 @@ def parse_remap_request(
 
     * ``dead_cores`` (optional): physical core ids already offline
       before this event (the caller's accumulated dead-set);
-    * ``event`` (required): ``{"kind": "phase_change", "knobs": {...}}``,
-      ``{"kind": "core_loss"|"core_hotplug", "cores": [...]}``, or
-      ``{"kind": "topology_edit", "topology": spec | "machine": name
-      [, "scale": s]}``.
+    * ``event`` (required): ``{"kind": "phase_change", "knobs": {...}
+      [, "nest": name]}``, ``{"kind": "core_loss"|"core_hotplug",
+      "cores": [...]}``, or ``{"kind": "topology_edit", "topology": spec
+      | "machine": name [, "scale": s]}``.
 
-    Core ids are always physical ids of the *base* machine.
+    Core ids are always physical ids of the *base* machine.  The event
+    goes through the remapper's own transition
+    (:func:`repro.remap.core.transition`), so both surfaces accept and
+    refuse the same events.
     """
+    from repro.remap.core import RemapState, transition
+    from repro.remap.events import event_to_dict, parse_event
+
     base = parse_request(payload, default_deadline_ms, allow_debug)
     raw_event = payload.get("event")
     if not isinstance(raw_event, dict):
         raise BadRequest("'event' must be an object")
-    dead = _parse_core_list(payload.get("dead_cores", []), "dead_cores")
-    base_cores = set(base.machine.core_ids())
-    if set(dead) - base_cores:
-        raise BadRequest(
-            f"dead_cores {sorted(set(dead) - base_cores)} not in the base machine"
-        )
-    pre_machine = _prune(base.machine, dead, "dead_cores")
-
-    from repro.remap.events import (
-        CoreHotplug,
-        CoreLoss,
-        PhaseChange,
-        TopologyEdit,
-        event_to_dict,
-        parse_event,
-    )
-
+    dead = payload.get("dead_cores", [])
+    if not isinstance(dead, list) or any(
+        isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in dead
+    ) or len(set(dead)) != len(dead):
+        raise BadRequest("'dead_cores' must be a list of distinct core ids")
+    knobs = {nest.name: base.knobs for nest in base.program.nests}
+    pre = RemapState(base.machine, frozenset(dead), knobs)
     try:
         event = parse_event(raw_event)
+        post, _affected = transition(pre, event)
+        pre_machine, post_machine = pre.machine, post.machine
     except ReproError as error:
         raise BadRequest(str(error)) from None
-
-    post_knobs = base.knobs
-    if isinstance(event, PhaseChange):
-        unknown = sorted(set(event.knob_changes) - _EVENT_KNOBS)
-        if unknown:
-            raise BadRequest(
-                f"unknown event knobs {unknown}; known: {sorted(_EVENT_KNOBS)}"
-            )
-        changes = {
-            name: _coerce_event_knob(name, value)
-            for name, value in event.knob_changes.items()
-        }
-        try:
-            post_knobs = base.knobs.replace(**changes)
-        except ReproError as error:
-            raise BadRequest(str(error)) from None
-        post_machine = pre_machine
-        echo: dict = {"kind": "phase_change", "knobs": changes}
-    elif isinstance(event, CoreLoss):
-        overlap = sorted(set(event.cores) & set(dead))
-        if overlap:
-            raise BadRequest(f"core_loss for already-dead cores {overlap}")
-        if set(event.cores) - base_cores:
-            raise BadRequest(
-                f"core_loss for unknown cores "
-                f"{sorted(set(event.cores) - base_cores)}"
-            )
-        post_machine = _prune(base.machine, tuple(sorted(set(dead) | set(event.cores))), "core_loss")
-        echo = event_to_dict(event)
-    elif isinstance(event, CoreHotplug):
-        missing = sorted(set(event.cores) - set(dead))
-        if missing:
-            raise BadRequest(f"core_hotplug for cores not in dead_cores: {missing}")
-        post_machine = _prune(base.machine, tuple(sorted(set(dead) - set(event.cores))), "core_hotplug")
-        echo = event_to_dict(event)
-    elif isinstance(event, TopologyEdit):
-        post_machine = event.machine
-        echo = event_to_dict(event)
-    else:  # pragma: no cover - parse_event is exhaustive
-        raise BadRequest(f"unknown event kind {raw_event.get('kind')!r}")
-
-    pre = MappingRequest(
-        program=base.program,
-        nest=base.nest,
-        machine=pre_machine,
-        knobs=base.knobs,
-        program_key=base.program_key,
+    return RemapRequest(
+        post=dataclasses.replace(
+            base,
+            machine=post_machine,
+            knobs=post.knobs[base.nest.name],
+            topology_key="",
+        ),
+        pre_machine=pre_machine.name,
+        event=event_to_dict(event),
     )
-    post = MappingRequest(
-        program=base.program,
-        nest=base.nest,
-        machine=post_machine,
-        knobs=post_knobs,
-        deadline_ms=base.deadline_ms,
-        no_cache=base.no_cache,
-        debug_sleep_ms=base.debug_sleep_ms,
-        program_key=base.program_key,
-    )
-    return RemapRequest(pre=pre, post=post, event=echo)

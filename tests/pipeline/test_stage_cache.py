@@ -106,17 +106,6 @@ class TestStageReuse:
         )
         assert hit_pattern(counters) == {s: "miss" for s in STAGES}
 
-    def test_topology_change_invalidates_everything(
-        self, fig9_machine, two_core_machine, fig5_program
-    ):
-        store = ArtifactStore()
-        knobs = Knobs(block_size=32)
-        counters_for_run(fig9_machine, knobs, store, fig5_program)
-        counters = counters_for_run(
-            two_core_machine, knobs, store, fig5_program
-        )
-        assert hit_pattern(counters) == {s: "miss" for s in STAGES}
-
     def test_program_change_invalidates_everything(
         self, fig9_machine, fig5_program, stencil_program
     ):
@@ -164,6 +153,79 @@ class TestStageReuse:
         )
         assert warm.plan().rounds == cold.plan().rounds
         assert warm.timings.keys() == cold.timings.keys()
+
+
+PREFIX_HITS = {
+    "blocksize": "hit",
+    "tagging": "hit",
+    "dependence": "hit",
+    "distribute": "miss",
+    "schedule": "miss",
+}
+ALL_MISS = {s: "miss" for s in STAGES}
+
+
+class TestMachineFacts:
+    """A stage keys on only what it reads of the machine: blocksize on
+    the core-0 L1 capacity while ``block_size`` is unset, tagging and
+    dependence on nothing, distribute and schedule on the whole tree."""
+
+    @pytest.mark.parametrize(
+        "first, second, other, expected",
+        [
+            pytest.param(Knobs(), Knobs(), "bigger_l1", ALL_MISS,
+                         id="unpinned-l1-change"),
+            pytest.param(Knobs(block_size=32), Knobs(block_size=32),
+                         "bigger_l1", PREFIX_HITS, id="pinned-l1-change"),
+            pytest.param(Knobs(), Knobs(), "core_loss", PREFIX_HITS,
+                         id="unpinned-core-loss"),
+            pytest.param(Knobs(block_size=32), Knobs(block_size=32),
+                         "two_core", PREFIX_HITS, id="pinned-other-tree"),
+            pytest.param(None, Knobs(block_size=32), "core_loss", ALL_MISS,
+                         id="cold-store"),
+            pytest.param(Knobs(block_size=64), Knobs(block_size=32),
+                         "core_loss", ALL_MISS, id="block-size-change"),
+        ],
+    )
+    def test_second_machine_hit_pattern(
+        self, fig9_machine, two_core_machine, fig5_program,
+        first, second, other, expected,
+    ):
+        """Map on fig9 with ``first`` (unless None), then on ``other``
+        with ``second`` through the same store."""
+        machine = {
+            "bigger_l1": fig9_machine.with_scaled_caches(2.0),
+            "core_loss": fig9_machine.without_cores([2]),
+            "two_core": two_core_machine,
+        }[other]
+        store = ArtifactStore()
+        if first is not None:
+            counters_for_run(fig9_machine, first, store, fig5_program)
+        counters = counters_for_run(machine, second, store, fig5_program)
+        assert hit_pattern(counters) == expected
+
+    @pytest.mark.parametrize(
+        "fixture", ["fig5_program", "dependent_program", "stencil_program"]
+    )
+    def test_prefix_from_another_machine_equals_cold(
+        self, request, fixture, fig9_machine, two_core_machine
+    ):
+        """Machine B's plan, with its prefix served from machine A's
+        artifacts, equals a storeless cold map on B."""
+        program = request.getfixturevalue(fixture)
+        nest = program.nests[0]
+        knobs = Knobs(block_size=32, local_scheduling=True)
+        store = ArtifactStore()
+        MappingPipeline(fig9_machine, knobs, store=store).map_nest(program, nest)
+        col = CollectorSink()
+        with obs.tracing(col):
+            warm = MappingPipeline(two_core_machine, knobs, store=store).map_nest(
+                program, nest
+            )
+        assert hit_pattern(col.summary()["counters"]) == PREFIX_HITS
+        cold = MappingPipeline(two_core_machine, knobs).map_nest(program, nest)
+        assert warm.plan().rounds == cold.plan().rounds
+        assert warm.plan().label == cold.plan().label
 
 
 class TestCachedSpanTags:

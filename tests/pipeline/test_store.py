@@ -17,6 +17,9 @@ from repro.pipeline import (
     reset_default_store,
 )
 from repro.pipeline.store import ident_epoch
+from repro.runtime.serialize import plan_from_dict
+from repro.service.engine import compute_mapping
+from repro.service.protocol import MappingRequest
 
 
 class TestArtifactStore:
@@ -96,73 +99,75 @@ class TestIdentEpoch:
 
 
 class TestPlanStore:
-    @pytest.fixture
-    def plan_and_pipe(self, fig9_machine, fig5_program, tmp_path):
-        pipe = MappingPipeline(
-            fig9_machine,
-            Knobs(block_size=32, local_scheduling=True),
-            plans=PlanStore(str(tmp_path)),
-        )
-        plan = pipe.plan(fig5_program, fig5_program.nests[0])
-        return pipe, plan, fig5_program
+    """The persistent plan tier, written and read by the service's
+    ``compute_mapping``."""
 
-    def test_round_trip_across_processes(self, plan_and_pipe, fig9_machine,
-                                         tmp_path):
-        pipe, plan, program = plan_and_pipe
+    KNOBS = Knobs(block_size=32, local_scheduling=True)
+
+    @pytest.fixture
+    def mapped(self, fig9_machine, fig5_program, tmp_path):
+        """One ``compute_mapping`` through a fresh store: returns the
+        store, the plan's key, the plan served and the program."""
+        plans = PlanStore(str(tmp_path))
+        nest = fig5_program.nests[0]
+        request = MappingRequest(fig5_program, nest, fig9_machine, self.KNOBS)
+        payload = compute_mapping(request, plans=plans)
+        plan = plan_from_dict(payload["mapping"], nest, fig9_machine)
+        key = MappingPipeline(fig9_machine, self.KNOBS).plan_key(fig5_program, nest)
+        return plans, key, plan, fig5_program
+
+    def test_round_trip_across_processes(self, mapped, fig9_machine, tmp_path):
+        _, key, plan, program = mapped
         # A "new process": fresh PlanStore over the same directory, and a
         # different point of the ident sequence.
         IterationGroup.reset_idents(start=999)
-        reread = MappingPipeline(
-            fig9_machine,
-            Knobs(block_size=32, local_scheduling=True),
-            plans=PlanStore(str(tmp_path)),
-        )
-        key = reread.plan_key(program, program.nests[0])
-        cached = reread.plans.get(key, fig9_machine, program.nests[0])
+        reread = PlanStore(str(tmp_path))
+        assert MappingPipeline(fig9_machine, self.KNOBS).plan_key(
+            program, program.nests[0]
+        ) == key
+        cached = reread.get(key, fig9_machine, program.nests[0])
         assert cached is not None
         assert cached.rounds == plan.rounds
         assert cached.label == plan.label
 
     def test_plan_method_serves_disk_hit_without_mapping(
-        self, plan_and_pipe, fig9_machine, tmp_path
+        self, mapped, fig9_machine, tmp_path
     ):
+        """A repeat through a fresh store over the same directory is
+        served from disk without running any stage."""
         from repro import obs
         from repro.obs.sinks import CollectorSink
 
-        _, plan, program = plan_and_pipe
-        warm = MappingPipeline(
-            fig9_machine,
-            Knobs(block_size=32, local_scheduling=True),
-            plans=PlanStore(str(tmp_path)),
-        )
+        _, _, plan, program = mapped
+        nest = program.nests[0]
+        request = MappingRequest(program, nest, fig9_machine, self.KNOBS)
         col = CollectorSink()
         with obs.tracing(col):
-            served = warm.plan(program, program.nests[0])
+            payload = compute_mapping(request, plans=PlanStore(str(tmp_path)))
+        assert payload["stats"]["plan_tier"] == "disk"
+        served = plan_from_dict(payload["mapping"], nest, fig9_machine)
         assert served.rounds == plan.rounds
         counters = col.summary()["counters"]
-        assert counters["pipeline.plan.disk_hits"] == 1
+        assert counters["service.plan_tier.hits"] == 1
         assert "map.nests_mapped" not in counters
 
-    def test_knob_change_misses(self, plan_and_pipe, fig9_machine, tmp_path):
-        _, _, program = plan_and_pipe
+    def test_knob_change_misses(self, mapped, fig9_machine):
+        plans, _, _, program = mapped
         other = MappingPipeline(
-            fig9_machine,
-            Knobs(block_size=32, local_scheduling=True, alpha=0.9, beta=0.1),
-            plans=PlanStore(str(tmp_path)),
-        )
-        key = other.plan_key(program, program.nests[0])
-        assert other.plans.get(key, fig9_machine, program.nests[0]) is None
+            fig9_machine, self.KNOBS.replace(alpha=0.9, beta=0.1)
+        ).plan_key(program, program.nests[0])
+        assert plans.get(other, fig9_machine, program.nests[0]) is None
 
-    def test_corrupt_file_reads_as_empty(self, plan_and_pipe, tmp_path):
-        pipe, _, _ = plan_and_pipe
-        path = pipe.plans.path
+    def test_corrupt_file_reads_as_empty(self, mapped, tmp_path):
+        plans, _, _, _ = mapped
+        path = plans.path
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{ not json")
         assert len(PlanStore(str(tmp_path))) == 0
 
-    def test_foreign_fingerprint_reads_as_empty(self, plan_and_pipe, tmp_path):
-        pipe, _, _ = plan_and_pipe
-        path = pipe.plans.path
+    def test_foreign_fingerprint_reads_as_empty(self, mapped, tmp_path):
+        plans, _, _, _ = mapped
+        path = plans.path
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
         payload["fingerprint"] = "0" * 64
@@ -170,12 +175,12 @@ class TestPlanStore:
             json.dump(payload, handle)
         assert len(PlanStore(str(tmp_path))) == 0
 
-    def test_tampered_rounds_are_rejected(self, plan_and_pipe, fig9_machine,
+    def test_tampered_rounds_are_rejected(self, mapped, fig9_machine,
                                           tmp_path):
         """A stored plan that no longer covers the iteration space must
         miss (verify_complete guards the read path)."""
-        pipe, _, program = plan_and_pipe
-        path = pipe.plans.path
+        plans, key, _, program = mapped
+        path = plans.path
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
         entry = next(iter(payload["plans"].values()))
@@ -183,7 +188,6 @@ class TestPlanStore:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
         fresh = PlanStore(str(tmp_path))
-        key = pipe.plan_key(program, program.nests[0])
         assert fresh.get(key, fig9_machine, program.nests[0]) is None
 
     @pytest.mark.parametrize(
@@ -201,19 +205,18 @@ class TestPlanStore:
         ids=["list", "no-rounds", "format-1", "machine-string", "round-int",
              "negative-length", "float-start", "box-mismatch"],
     )
-    def test_undecodable_entry_is_a_miss(self, plan_and_pipe, fig9_machine,
+    def test_undecodable_entry_is_a_miss(self, mapped, fig9_machine,
                                          tmp_path, corrupt):
         """Any decode failure reads as a miss, never as an exception."""
-        pipe, _, program = plan_and_pipe
-        path = pipe.plans.path
+        plans, key, _, program = mapped
+        path = plans.path
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        key = next(iter(payload["plans"]))
-        payload["plans"][key] = corrupt(payload["plans"][key])
+        stored = next(iter(payload["plans"]))
+        payload["plans"][stored] = corrupt(payload["plans"][stored])
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
         fresh = PlanStore(str(tmp_path))
-        key = pipe.plan_key(program, program.nests[0])
         assert fresh.get(key, fig9_machine, program.nests[0]) is None
 
     def test_file_name_carries_code_fingerprint(self, tmp_path):

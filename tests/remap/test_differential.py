@@ -94,7 +94,7 @@ def test_unpinned_block_size_across_l1_change(stencil_program, machine):
     remapper = Remapper(stencil_program, machine, knobs=knobs)
     edited = machine.with_scaled_caches(0.5)
     outcome = remapper.apply(TopologyEdit(edited))
-    assert outcome.carried == 0
+    assert outcome.stages_recomputed == 5
     name = outcome.affected[0]
     nest = next(n for n in stencil_program.nests if n.name == name)
     cold = cold_plan(stencil_program, nest, edited, knobs)

@@ -1,14 +1,11 @@
-"""State-machine behaviour of the Remapper and the carry-prefix guards."""
+"""State-machine behaviour of the Remapper and its stage accounting."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import RemapError
-from repro.pipeline.core import MappingPipeline
-from repro.pipeline.knobs import Knobs
-from repro.pipeline.store import ArtifactStore
-from repro.remap.core import CARRY_STAGES, Remapper, carry_prefix
+from repro.remap.core import Remapper
 from repro.remap.events import (
     CoreHotplug,
     CoreLoss,
@@ -93,10 +90,11 @@ class TestStageAccounting:
         assert outcome.stages_replayed == 4
 
     def test_core_loss_carries_prefix(self, stencil_program, machine, knobs):
+        """blocksize/tagging/dependence key on no part of the tree, so
+        they replay across the core loss."""
         remapper = Remapper(stencil_program, machine, knobs=knobs)
         outcome = remapper.apply(CoreLoss((2,)))
-        assert outcome.carried == len(CARRY_STAGES)
-        assert outcome.stages_replayed == len(CARRY_STAGES)
+        assert outcome.stages_replayed == 3
         assert outcome.stages_recomputed == 2  # distribute + schedule
 
     def test_revisited_state_is_pure_replay(self, stencil_program, machine, knobs):
@@ -106,53 +104,3 @@ class TestStageAccounting:
         outcome = remapper.apply(CoreLoss((2,)))
         assert outcome.stages_recomputed == 0
         assert outcome.stages_replayed == 5
-
-
-class TestCarryPrefix:
-    def _primed_store(self, program, machine, knobs):
-        store = ArtifactStore(capacity=64)
-        pipeline = MappingPipeline(machine, knobs, store=store)
-        pipeline.map_nest(program, program.nests[0])
-        return store
-
-    def test_refuses_on_l1_mismatch_without_pinned_block(
-        self, stencil_program, machine
-    ):
-        knobs = Knobs(alpha=0.5, beta=0.5)  # block_size unpinned
-        store = self._primed_store(stencil_program, machine, knobs)
-        bigger_l1 = machine.with_scaled_caches(2.0)
-        carried = carry_prefix(
-            store, stencil_program, stencil_program.nests[0],
-            machine, bigger_l1, knobs, knobs,
-        )
-        assert carried == 0
-
-    def test_carries_with_pinned_block_despite_l1_mismatch(
-        self, stencil_program, machine
-    ):
-        knobs = Knobs(block_size=64, alpha=0.5, beta=0.5)
-        store = self._primed_store(stencil_program, machine, knobs)
-        bigger_l1 = machine.with_scaled_caches(2.0)
-        carried = carry_prefix(
-            store, stencil_program, stencil_program.nests[0],
-            machine, bigger_l1, knobs, knobs,
-        )
-        assert carried == len(CARRY_STAGES)
-
-    def test_carries_nothing_from_cold_store(self, stencil_program, machine, knobs):
-        carried = carry_prefix(
-            ArtifactStore(capacity=8), stencil_program,
-            stencil_program.nests[0], machine,
-            machine.without_cores([2]), knobs, knobs,
-        )
-        assert carried == 0
-
-    def test_stops_at_changed_early_knob(self, stencil_program, machine):
-        knobs = Knobs(block_size=64)
-        store = self._primed_store(stencil_program, machine, knobs)
-        changed = knobs.replace(block_size=32)
-        carried = carry_prefix(
-            store, stencil_program, stencil_program.nests[0],
-            machine, machine.without_cores([2]), knobs, changed,
-        )
-        assert carried == 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.lang import compile_source
 from repro.runtime.serialize import program_to_dict
-from repro.service.protocol import BadRequest, parse_request
+from repro.service.protocol import BadRequest, parse_remap_request, parse_request
 
 from tests.service.conftest import BANDED_SOURCE
 
@@ -107,6 +107,88 @@ class TestValidation:
             banded_request(deadline_ms=50), default_deadline_ms=250.0
         )
         assert explicit.deadline_ms == 50.0
+
+
+#: Knob values the one codec refuses on both surfaces: a string for a
+#: bool knob, a float or a bool for an int knob, a string for a float.
+BAD_KNOBS = [
+    pytest.param({"local_scheduling": "false"}, id="string-for-bool"),
+    pytest.param({"block_size": 64.9}, id="float-for-int"),
+    pytest.param({"block_size": True}, id="bool-for-int"),
+    pytest.param({"alpha": "0.25"}, id="string-for-float"),
+]
+
+
+def phase_change(knobs, **event):
+    return banded_request(event={"kind": "phase_change", "knobs": knobs, **event})
+
+
+class TestKnobCodec:
+    @pytest.mark.parametrize("knobs", BAD_KNOBS)
+    def test_map_checks_not_coerces(self, knobs):
+        with pytest.raises(BadRequest, match="knob") as raised:
+            parse_request(banded_request(knobs=knobs))
+        assert raised.value.status == 400
+
+    @pytest.mark.parametrize("knobs", BAD_KNOBS)
+    def test_phase_change_checks_not_coerces(self, knobs):
+        with pytest.raises(BadRequest, match="knob") as raised:
+            parse_remap_request(phase_change(knobs))
+        assert raised.value.status == 400
+
+    def test_accepted_kinds(self):
+        """A float knob takes a JSON integer; ``null`` unpins the block
+        size; a bool knob takes a bool."""
+        knobs = {"alpha": 1, "block_size": None, "local_scheduling": False}
+        for decoded in (
+            parse_request(banded_request(knobs=knobs)).knobs,
+            parse_remap_request(phase_change(knobs)).post.knobs,
+        ):
+            assert decoded.alpha == 1.0 and isinstance(decoded.alpha, float)
+            assert decoded.block_size is None
+            assert decoded.local_scheduling is False
+
+    def test_max_groups_is_an_event_knob_only(self):
+        with pytest.raises(BadRequest, match="unknown knobs"):
+            parse_request(banded_request(knobs={"max_groups": 10}))
+        remap = parse_remap_request(phase_change({"max_groups": 10}))
+        assert remap.post.knobs.max_groups == 10
+
+
+class TestRemapParsing:
+    def test_phase_change_for_unknown_nest(self):
+        with pytest.raises(BadRequest, match="no nest"):
+            parse_remap_request(phase_change({"alpha": 0.9}, nest="no_such_nest"))
+
+    def test_phase_change_for_named_nest_is_echoed(self):
+        name = parse_request(banded_request()).nest.name
+        remap = parse_remap_request(phase_change({"alpha": 0.9}, nest=name))
+        assert remap.post.knobs.alpha == 0.9
+        assert remap.event == {
+            "kind": "phase_change", "knobs": {"alpha": 0.9}, "nest": name
+        }
+
+    def test_core_loss_prunes_post_machine(self):
+        remap = parse_remap_request(
+            banded_request(dead_cores=[1], event={"kind": "core_loss", "cores": [2]})
+        )
+        assert remap.pre_machine == "dunnington-less1"
+        assert remap.post.machine.num_cores == 10
+        assert remap.post.topology_key != parse_request(banded_request()).topology_key
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"dead_cores": [99], "event": {"kind": "core_loss", "cores": [2]}},
+            {"dead_cores": [1, 1], "event": {"kind": "core_loss", "cores": [2]}},
+            {"dead_cores": [1], "event": {"kind": "core_loss", "cores": [1]}},
+            {"event": {"kind": "core_hotplug", "cores": [1]}},
+        ],
+        ids=["dead-not-in-base", "dead-duplicate", "loss-of-dead", "hotplug-of-live"],
+    )
+    def test_bad_core_states(self, extra):
+        with pytest.raises(BadRequest):
+            parse_remap_request(banded_request(**extra))
 
 
 class TestCacheKey:

@@ -12,6 +12,16 @@ from tests.service.test_shard import make_shard
 
 MACHINE = "arch-I"
 
+#: Two independent nests, so a phase change can name the other one.
+TWO_NEST_SOURCE = """
+array A[64];
+array B[64];
+parallel for (i = 0; i < 64; i++)
+  A[i] = A[i] + 1;
+parallel for (j = 0; j < 64; j++)
+  B[j] = B[j] + A[j];
+"""
+
 
 class TestSingleProcess:
     def test_phase_change_replays_prefix(self, client):
@@ -40,9 +50,11 @@ class TestSingleProcess:
         stanza = response["remap"]
         assert stanza["machine"].endswith("-less2")
         assert stanza["cores"] == response["stats"]["cores"]
-        # blocksize/tagging/dependence are machine-independent here
-        # (same L1): they carry across the topology change.
-        assert stanza["carried"] == 3
+        # blocksize/tagging/dependence key on no part of the tree here
+        # (same L1): they replay across the topology change.
+        assert stanza["stages_replayed"] == 3
+        assert stanza["stages_recomputed"] == 2
+        assert "carried" not in stanza
 
     def test_dead_cores_compose_with_hotplug(self, client):
         client.submit(source=STENCIL_SOURCE, machine=MACHINE)
@@ -128,12 +140,36 @@ class TestSingleProcess:
             )
 
     def test_loss_of_unknown_core(self, client):
-        with pytest.raises(BadRequest, match="unknown cores"):
+        with pytest.raises(BadRequest, match="unknown or already-dead"):
             client.remap(
                 source=BANDED_SOURCE,
                 machine=MACHINE,
                 event={"kind": "core_loss", "cores": [99]},
             )
+
+    def test_phase_change_for_unknown_nest(self, client):
+        with pytest.raises(BadRequest, match="no nest 'no_such_nest'"):
+            client.remap(
+                source=BANDED_SOURCE,
+                machine=MACHINE,
+                event={"kind": "phase_change", "nest": "no_such_nest",
+                       "knobs": {"alpha": 0.9}},
+            )
+
+    def test_phase_change_for_another_nest(self, client):
+        """A phase change naming another nest of the program leaves the
+        request's nest alone (pure replay) and echoes ``nest``."""
+        primed = client.submit(source=TWO_NEST_SOURCE, machine=MACHINE, nest=0)
+        event = {
+            "kind": "phase_change", "nest": "request_nest1", "knobs": {"alpha": 0.9}
+        }
+        response = client.remap(
+            source=TWO_NEST_SOURCE, machine=MACHINE, nest=0, event=event
+        )
+        assert response["nest"] == "request_nest0"
+        assert response["remap"]["event"] == event
+        assert response["key"] == primed["key"]
+        assert response["remap"]["stages_recomputed"] == 0
 
     def test_event_required(self, client):
         status, _headers, _body = client.request(
