@@ -30,9 +30,9 @@ import tarfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.experiments.cache import machine_digest  # noqa: E402
 from repro.topology.ingest.normalize import NormalizeOptions, normalize  # noqa: E402
 from repro.topology.ingest.sysfs import load_sysfs  # noqa: E402
+from repro.topology.tree import machine_digest  # noqa: E402
 
 KB = 1024
 

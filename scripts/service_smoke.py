@@ -14,9 +14,15 @@ plan that decodes against the post-event machine, and the ``remap``
 stanza reads 3 stages replayed / 2 recomputed for the loss (the L1
 capacity stays put, so blocksize, tagging and dependence hit) and 5 / 0
 for the hot-plug (the post state is the one ``/map`` already mapped).
-Latency percentiles, response sizes, the remap rows and the daemon's
-own /stats snapshot are written as a JSON artifact for the CI run to
-upload.
+Then ``repro remap --via-service`` runs two histories against the same
+daemon, and the run fails unless each second answer maps the state the
+first event left, which the CLI sends back from the first answer's
+``remap.post``: after a ``phase_change`` to alpha 0.8 / beta 0.2, the
+``core_loss`` answer's key carries those knobs; after a
+``topology_edit`` to arch-II at scale 32, its ``pre_machine`` is
+``arch-II-x0.03125``.  Latency percentiles, response sizes, the remap
+and CLI rows and the daemon's own /stats snapshot are written as a JSON
+artifact for the CI run to upload.
 
 With ``--cache-dir DIR`` the daemon runs with ``--persistent --cache-dir
 DIR``.  After the drain the script boots it again over the same
@@ -45,6 +51,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
 sys.path.insert(0, SRC)
 
+from repro.pipeline.knobs import Knobs  # noqa: E402
 from repro.runtime.serialize import plan_from_json  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 from repro.service.protocol import parse_remap_request, parse_request  # noqa: E402
@@ -191,6 +198,59 @@ def remap_variants(client, failures):
     return rows
 
 
+LOSS = {"kind": "core_loss", "cores": [2]}
+
+#: The histories run through ``repro remap --via-service``: a first
+#: event, then ``LOSS``, whose answer must hold ``expected`` at
+#: ``(stanza, field)``.  The phase's key is the CLI's default knobs
+#: (local scheduling off) with the phase's alpha and beta.
+CLI_HISTORIES = (
+    ({"kind": "phase_change", "knobs": {"alpha": 0.8, "beta": 0.2}},
+     ("key", "knobs"),
+     list(Knobs(local_scheduling=False, alpha=0.8, beta=0.2).as_tuple())),
+    ({"kind": "topology_edit", "machine": "arch-II", "scale": 32},
+     ("remap", "pre_machine"),
+     "arch-II-x0.03125"),
+)
+
+
+def remap_via_cli(port, failures):
+    """Run each history through the CLI against the daemon; returns one
+    row per history."""
+    with tempfile.NamedTemporaryFile(
+        "w", prefix="repro-smoke-", suffix=".loop", delete=False
+    ) as handle:
+        handle.write(VARIANTS[0])
+    rows = []
+    try:
+        for first, (stanza, field), expected in CLI_HISTORIES:
+            argv = [sys.executable, "-m", "repro", "remap", handle.name,
+                    "--machine", "dunnington", "--via-service",
+                    "--port", str(port), "--json"]
+            for event in (first, LOSS):
+                argv += ["--event", json.dumps(event)]
+            run = subprocess.run(argv, capture_output=True, text=True,
+                                 env=repro_env(), check=False)
+            row = {"history": [first["kind"], LOSS["kind"]], "exit": run.returncode}
+            rows.append(row)
+            if run.returncode != 0:
+                failures.append(
+                    f"repro remap --via-service after {first['kind']} exited "
+                    f"{run.returncode}: {run.stderr[-300:]}"
+                )
+                continue
+            row[field] = json.loads(run.stdout)[1][stanza][field]
+            if row[field] != expected:
+                failures.append(
+                    f"repro remap --via-service after {first['kind']}: the "
+                    f"core_loss answer's {field} is {row[field]!r}, expected "
+                    f"{expected!r}"
+                )
+    finally:
+        os.unlink(handle.name)
+    return rows
+
+
 def drain(proc, failures):
     """SIGTERM the daemon and wait for a clean exit; returns its code."""
     proc.send_signal(signal.SIGTERM)
@@ -255,6 +315,7 @@ def main(argv=None):
     failures = []
     results = []
     remaps = []
+    cli_remaps = []
     try:
         client = ServiceClient(port=port, timeout=120)
         client.wait_ready(timeout=30)
@@ -265,6 +326,7 @@ def main(argv=None):
             ]
             results = [f.result() for f in futures]
         remaps = remap_variants(client, failures)
+        cli_remaps = remap_via_cli(port, failures)
         stats = client.stats()
     finally:
         exit_code = drain(proc, failures)
@@ -302,13 +364,14 @@ def main(argv=None):
         },
         "plans_decoded": decoded,
         "remaps": remaps,
+        "cli_remaps": cli_remaps,
         "daemon_exit_code": exit_code,
         "stats": stats,
         "failures": failures,
     }
     summary_keys = ["requests", "statuses", "cache_tiers", "latency_ms",
                     "response_bytes", "plans_decoded", "remaps",
-                    "daemon_exit_code"]
+                    "cli_remaps", "daemon_exit_code"]
     if args.cache_dir:
         report["persistent"], restart_stderr = check_restart(
             args.workers, daemon_args, args.cache_dir, failures

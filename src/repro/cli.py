@@ -479,38 +479,30 @@ def cmd_remap(args) -> int:
 
 
 def _remap_via_service(args, events: list[dict], knobs: dict) -> int:
-    from repro.pipeline.knobs import Knobs
-    from repro.remap import RemapState, parse_event, transition
     from repro.service.client import ServiceClient
 
     with open(args.source, "r", encoding="utf-8") as handle:
         source = handle.read()
     name = args.source.rsplit("/", 1)[-1].split(".")[0]
     client = ServiceClient(host=args.host, port=args.port, timeout=args.timeout)
-    # The wire protocol is stateless: the client carries the accumulated
-    # dead-core set between calls so each /remap states the full pre
-    # state, stepping it with the remapper's own transition.
-    state = RemapState(
-        resolve_machine(args.machine),
-        frozenset(args.dead_cores or ()),
-        {nest.name: Knobs(**knobs) for nest in compile_source(source, name=name).nests},
-    )
+    # /remap is stateless: each body states its pre state in full, and
+    # each answer states its post state in the same fields
+    # (``remap.post``), which the next body sends back as it came.
+    state = {
+        "machine": args.machine,
+        "scale": float(args.scale),
+        "dead_cores": args.dead_cores or [],
+        "knobs": knobs,
+    }
     rows = []
     responses = []
     for raw in events:
         response = client.remap(
-            event=raw,
-            source=source,
-            machine=args.machine,
-            nest=args.nest,
-            scale=float(args.scale),
-            knobs=knobs,
-            dead_cores=sorted(state.dead),
-            name=name,
+            event=raw, source=source, nest=args.nest, name=name, **state
         )
         responses.append(response)
-        state, _affected = transition(state, parse_event(raw))
         stanza = response["remap"]
+        state = stanza["post"]
         rows.append((
             raw.get("kind"),
             response["nest"],
@@ -546,7 +538,6 @@ def _topo_machine(args, spec: str):
 
 
 def cmd_topo_ingest(args) -> int:
-    from repro.experiments.cache import machine_digest
     from repro.runtime.serialize import machine_to_dict
     from repro.topology.ingest import (
         NormalizeOptions,
@@ -556,6 +547,7 @@ def cmd_topo_ingest(args) -> int:
         normalize,
     )
     from repro.topology.render import render_tree
+    from repro.topology.tree import machine_digest
 
     options = NormalizeOptions(
         smt_policy=args.smt or "merge",
@@ -592,9 +584,9 @@ def cmd_topo_ingest(args) -> int:
 
 
 def cmd_topo_show(args) -> int:
-    from repro.experiments.cache import machine_digest
     from repro.runtime.serialize import machine_to_dict
     from repro.topology.render import render_tree
+    from repro.topology.tree import machine_digest
 
     machine = _topo_machine(args, args.machine)
     if args.json:
@@ -608,7 +600,7 @@ def cmd_topo_show(args) -> int:
 
 
 def cmd_topo_validate(args) -> int:
-    from repro.experiments.cache import machine_digest
+    from repro.topology.tree import machine_digest
 
     try:
         machine = _topo_machine(args, args.machine)
@@ -636,8 +628,8 @@ def cmd_topo_list(args) -> int:
 
 
 def cmd_topo_diff(args) -> int:
-    from repro.experiments.cache import machine_digest
     from repro.topology.render import render_tree
+    from repro.topology.tree import machine_digest
 
     left = _topo_machine(args, args.left)
     right = _topo_machine(args, args.right)

@@ -8,8 +8,9 @@ This module stores those results on disk so that a repeated
 Keys are *content* keys, never timestamps:
 
 * the harness memo key (workload, scheme, machine names, every knob);
-* a structural digest of each machine involved (:func:`machine_digest`),
-  so two machines that happen to share a name cannot alias;
+* a structural digest of each machine involved
+  (:func:`~repro.topology.tree.machine_digest`), so two machines that
+  happen to share a name cannot alias;
 * a fingerprint of the simulation-relevant source tree
   (:func:`code_fingerprint`) baked into the cache *file name* —
   ``results-<fp12>.json`` — so any change to the simulator, mapper,
@@ -32,7 +33,6 @@ from functools import lru_cache
 
 import repro
 from repro.sim.stats import LevelStats, SimResult
-from repro.topology.tree import Machine, TopologyNode
 from repro.util import store
 
 #: Environment variable overriding the cache directory.
@@ -95,40 +95,6 @@ def code_fingerprint() -> str:
         hasher.update(path.read_bytes())
         hasher.update(b"\0")
     return hasher.hexdigest()
-
-
-def _node_spec(node: TopologyNode):
-    """Structural tuple for a tree node; deliberately excludes ``uid``
-    (a process-local counter that must not leak into cross-process
-    keys)."""
-    if node.kind == "core":
-        return ("core", node.core_id)
-    children = tuple(_node_spec(child) for child in node.children)
-    if node.kind == "cache":
-        spec = node.spec
-        return (
-            "cache",
-            spec.level,
-            spec.size_bytes,
-            spec.associativity,
-            spec.line_size,
-            spec.latency,
-            children,
-        )
-    return ("memory", children)
-
-
-@lru_cache(maxsize=256)
-def machine_digest(machine: Machine) -> str:
-    """Short structural digest of a machine (topology + timing)."""
-    spec = (
-        machine.name,
-        machine.clock_ghz,
-        machine.memory_latency,
-        machine.sockets,
-        _node_spec(machine.root),
-    )
-    return hashlib.sha256(repr(spec).encode()).hexdigest()[:16]
 
 
 def _result_to_dict(result: SimResult) -> dict:

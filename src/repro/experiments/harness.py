@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.errors import ExperimentError
-from repro.experiments.cache import DiskCache, machine_digest
+from repro.experiments.cache import DiskCache
 from repro.mapping import base_plan, base_plus_plan, local_plan
 from repro.mapping.distribute import MappingResult
 
@@ -44,7 +44,7 @@ from repro.pipeline.store import ArtifactStore
 from repro.runtime import execute_plan
 from repro.sim.engine import SimConfig
 from repro.sim.stats import LevelStats, SimResult
-from repro.topology.tree import Machine
+from repro.topology.tree import Machine, machine_digest
 from repro.util.tables import format_table
 from repro.workloads import Workload, workload
 

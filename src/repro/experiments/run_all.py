@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -79,7 +80,9 @@ def _steps(apps, machines=None):
 
 
 def _slug(label: str) -> str:
-    return label.lower().replace(" ", "_").replace("(", "").replace(")", "")
+    """The label's words, lower-cased and joined by ``_``: a bare file
+    name (``Ablation a/b`` -> ``ablation_a_b``)."""
+    return "_".join(re.findall(r"[a-z0-9]+", label.lower()))
 
 
 def _matches(needle: str, label: str) -> bool:

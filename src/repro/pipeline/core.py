@@ -35,7 +35,6 @@ from collections.abc import Callable
 from repro import obs
 from repro.blocks.datablocks import DataBlockPartition
 from repro.blocks.tagger import choose_block_size, tag_iterations
-from repro.experiments.cache import machine_digest
 from repro.ir.loops import LoopNest, Program
 from repro.mapping.clustering import hierarchical_distribute
 from repro.mapping.dependence import (
@@ -55,7 +54,7 @@ from repro.pipeline.artifacts import (
 from repro.pipeline.knobs import STAGE_ORDER, Knobs
 from repro.pipeline.store import ArtifactStore, ident_epoch
 from repro.runtime.serialize import program_digest
-from repro.topology.tree import Machine
+from repro.topology.tree import Machine, machine_digest
 
 
 class Stage:

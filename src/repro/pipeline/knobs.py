@@ -16,8 +16,9 @@ configurations that differ only in α/β share every tuple up to and
 including ``distribute`` and diverge only at ``schedule``.
 
 :class:`Knobs` also owns the knob names, their defaults and their JSON
-codec (:meth:`Knobs.decode`): the service's ``/map`` knobs and a remap
-``phase_change`` event's knobs are both decoded by it.
+codec (:meth:`Knobs.decode` / :meth:`Knobs.encode`): the service's
+``/map`` knobs, a remap ``phase_change`` event's knobs and a ``/remap``
+answer's post state all go through it.
 """
 
 from __future__ import annotations
@@ -112,23 +113,25 @@ class Knobs:
         """A copy with some knobs changed (sweep convenience)."""
         return dataclasses.replace(self, **changes)
 
-    def decode(self, changes: object, exclude: tuple[str, ...] = ()) -> "Knobs":
+    def decode(self, changes: object) -> "Knobs":
         """A copy with a decoded JSON object of knob changes applied.
 
         This is the one wire codec for knobs, and it checks rather than
         coerces: an int knob takes a JSON integer (not a bool or a
         float), a float knob an integer or a float, a bool knob a bool,
         a str knob a string, and ``null`` only where the field is
-        optional.  ``exclude`` names knobs the caller's surface does
-        not accept.
+        optional.  Only the :data:`WIRE_KNOBS` are accepted.
         """
         if not isinstance(changes, dict):
             raise MappingError("'knobs' must be an object")
-        known = sorted(set(_KINDS) - set(exclude))
-        unknown = sorted(set(changes) - set(known))
+        unknown = sorted(set(changes) - set(WIRE_KNOBS))
         if unknown:
-            raise MappingError(f"unknown knobs {unknown}; known: {known}")
+            raise MappingError(f"unknown knobs {unknown}; known: {sorted(WIRE_KNOBS)}")
         return self.replace(**{name: _checked(name, v) for name, v in changes.items()})
+
+    def encode(self) -> dict:
+        """The :data:`WIRE_KNOBS` as a JSON object :meth:`decode` reads back."""
+        return {name: getattr(self, name) for name in WIRE_KNOBS}
 
 
 def _kind(hint) -> tuple[type, bool]:
@@ -141,6 +144,10 @@ def _kind(hint) -> tuple[type, bool]:
 _KINDS: dict[str, tuple[type, bool]] = {
     name: _kind(hint) for name, hint in get_type_hints(Knobs).items()
 }
+
+#: The knobs a JSON body may set: all but ``max_groups``, the tagging
+#: guard, which stays at its default on every wire surface.
+WIRE_KNOBS = tuple(name for name in _KINDS if name != "max_groups")
 
 
 def _checked(name: str, value: object) -> object:

@@ -10,10 +10,9 @@ stage from the :class:`~repro.pipeline.store.ArtifactStore` and
 recomputing only the dirtied suffix.  The state transition
 (:func:`~repro.remap.core.transition`) and the replay with its
 replayed/recomputed count (:func:`~repro.remap.core.replay`) exist once
-and serve the remapper, the service and the CLI.  An
-:class:`~repro.remap.watch.ExecutionWatcher` turns the
-:class:`~repro.sim.dynamic.BehaviorModel` observation stream into those
-events.
+and serve the remapper and the service; the service answers each
+``/remap`` with its post state, which ``repro remap --via-service``
+sends back with the next event.
 
 Every remapped plan is bit-identical to a cold map of the post-event
 state; ``tests/remap/test_differential.py`` pins that.
@@ -33,23 +32,19 @@ from repro.remap.events import (
     event_to_dict,
     parse_event,
 )
-from repro.remap.watch import ExecutionWatcher, WatchPolicy, knobs_for_signals
 
 __all__ = [
     "CoreHotplug",
     "CoreLoss",
-    "ExecutionWatcher",
     "PhaseChange",
     "RemapEvent",
     "RemapOutcome",
     "RemapState",
     "Remapper",
     "TopologyEdit",
-    "WatchPolicy",
     "cold_plan",
     "event_kind",
     "event_to_dict",
-    "knobs_for_signals",
     "parse_event",
     "replay",
     "transition",

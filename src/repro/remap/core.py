@@ -15,10 +15,10 @@ cumulative knob tuple and on only the machine fact it reads, so
 Nothing is copied between keys: the remapper only transitions its state
 (:func:`transition`) and re-runs the pipeline through the shared store
 (:func:`replay`), which counts what hit and what recomputed.  Both are
-also what the service's ``POST /remap`` and ``repro remap
---via-service`` run.  The replayed artifacts are the ones a cold map of
-the post-event state computes, so every remapped plan is bit-identical
-to a cold plan — ``tests/remap/test_differential.py`` pins that.
+also what the service's ``POST /remap`` runs.  The replayed artifacts
+are the ones a cold map of the post-event state computes, so every
+remapped plan is bit-identical to a cold plan —
+``tests/remap/test_differential.py`` pins that.
 """
 
 from __future__ import annotations

@@ -32,8 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from repro.errors import MappingError, RemapError
+from repro.errors import MappingError, RemapError, TopologyError, UnknownMachineError
 from repro.pipeline.knobs import Knobs
+from repro.topology.resolve import machine_from_fields
 from repro.topology.tree import Machine
 
 __all__ = [
@@ -54,7 +55,8 @@ class PhaseChange:
 
     ``knobs`` is a sorted tuple of ``(name, value)`` changes (kept as a
     tuple so events are hashable), checked by the one knob codec
-    (:meth:`~repro.pipeline.knobs.Knobs.decode`); ``nest`` optionally
+    (:meth:`~repro.pipeline.knobs.Knobs.decode`, which refuses what
+    ``/map`` refuses); ``nest`` optionally
     restricts the change to one nest — ``None`` means every nest of the
     program.
     """
@@ -66,7 +68,7 @@ class PhaseChange:
         try:
             Knobs().decode(self.knob_changes)
         except MappingError as error:
-            raise RemapError(f"phase change: {error}") from None
+            raise RemapError(str(error)) from None
 
     @staticmethod
     def of(nest: str | None = None, **knobs) -> "PhaseChange":
@@ -121,7 +123,7 @@ _KINDS = {
 def _check_cores(cores: tuple[int, ...]) -> None:
     if not cores:
         raise RemapError("core event needs at least one core")
-    if any(not isinstance(c, int) or c < 0 for c in cores):
+    if any(isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in cores):
         raise RemapError(f"core ids must be non-negative integers, got {cores}")
     if len(set(cores)) != len(cores):
         raise RemapError(f"duplicate core ids in {cores}")
@@ -153,10 +155,9 @@ def event_to_dict(event: RemapEvent) -> dict:
 def parse_event(raw: dict) -> RemapEvent:
     """Decode a wire event dict (the CLI's ``--event`` JSON).
 
-    ``topology_edit`` events carry a topology spec string under
-    ``"topology"`` (plus an optional ``"scale"`` divisor, matching the
-    service's machine parsing) or a builtin machine name under
-    ``"machine"``.
+    ``topology_edit`` events name the new machine by the same fields as
+    a service request (``machine`` or ``topology``, and ``scale``), read
+    by :func:`~repro.topology.resolve.machine_fields`.
     """
     if not isinstance(raw, dict):
         raise RemapError(f"event must be an object, got {type(raw).__name__}")
@@ -176,32 +177,11 @@ def parse_event(raw: dict) -> RemapEvent:
         cls = CoreLoss if kind == "core_loss" else CoreHotplug
         return cls(tuple(cores))
     if kind == "topology_edit":
-        machine = _parse_edit_machine(raw)
-        return TopologyEdit(machine)
+        try:
+            return TopologyEdit(machine_from_fields(raw))
+        except UnknownMachineError:
+            raise
+        except TopologyError as error:
+            raise RemapError(f"topology_edit: {error}") from None
     raise RemapError(f"unknown event kind {kind!r}")
 
-
-def _parse_edit_machine(raw: dict) -> Machine:
-    spec = raw.get("topology")
-    name = raw.get("machine")
-    if (spec is None) == (name is None):
-        raise RemapError("topology_edit needs exactly one of 'topology' or 'machine'")
-    if spec is not None:
-        if not isinstance(spec, str):
-            raise RemapError("'topology' must be a spec string")
-        from repro.topology.parser import parse_topology
-
-        machine = parse_topology(spec)
-    else:
-        if not isinstance(name, str):
-            raise RemapError("'machine' must be a name string")
-        from repro.topology.resolve import resolve_machine
-
-        machine = resolve_machine(name)
-    scale = raw.get("scale")
-    if scale is not None:
-        if not isinstance(scale, (int, float)) or scale <= 0:
-            raise RemapError("'scale' must be a positive number")
-        if scale != 1:
-            machine = machine.with_scaled_caches(1.0 / float(scale))
-    return machine

@@ -161,7 +161,10 @@ class ServiceClient:
         ``event`` is the transition — see
         :func:`repro.service.protocol.parse_remap_request`.  The
         response carries the post-event plan and a ``"remap"`` stanza
-        with the replayed/recomputed stage accounting.
+        with the replayed/recomputed stage accounting and the post
+        state as ``post``, whose fields are this method's
+        ``machine``/``topology``, ``scale``, ``dead_cores`` and
+        ``knobs``.
         """
         body: dict[str, Any] = {"nest": nest, "event": event}
         if source is not None:

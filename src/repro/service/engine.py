@@ -115,7 +115,8 @@ def compute_remap(remap: RemapRequest, plans=None) -> dict:
     the event left alone hit, dirtied ones recompute.  The result is
     the exact payload a ``/map`` of the post state would produce,
     extended with a ``"remap"`` stanza accounting for what was replayed
-    vs recomputed.
+    vs recomputed, and stating the post state as ``post`` in the body's
+    own fields: the caller merges it into its next ``/remap`` body.
 
     The response-level mapping cache and the plan disk tier are *not*
     consulted: the point of the endpoint is an honest incremental
@@ -144,6 +145,7 @@ def compute_remap(remap: RemapRequest, plans=None) -> dict:
         "pre_machine": remap.pre_machine,
         "machine": post.machine.name,
         "cores": post.machine.num_cores,
+        "post": remap.post_fields,
     }
     return payload
 

@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ReproError
-from repro.experiments.cache import machine_digest
 from repro.ir.loops import LoopNest, Program
 from repro.lang import compile_source
 from repro.pipeline.knobs import Knobs
 from repro.runtime.serialize import program_digest, program_from_dict
-from repro.topology.tree import Machine
+from repro.topology.resolve import machine_fields, machine_from_fields
+from repro.topology.tree import Machine, machine_digest
 
 __all__ = [
     "BadRequest",
@@ -117,13 +117,9 @@ def _require(payload: dict, kind: type, key: str, default: Any = None) -> Any:
 
 
 def _parse_knobs(payload: dict) -> Knobs:
-    """The request's knobs over the :class:`Knobs` defaults.
-
-    ``max_groups`` is the tagging guard, not a request knob: requests
-    get its default (a remap ``phase_change`` may still move it).
-    """
+    """The request's knobs over the :class:`Knobs` defaults."""
     try:
-        return Knobs().decode(payload.get("knobs", {}), exclude=("max_groups",))
+        return Knobs().decode(payload.get("knobs", {}))
     except ReproError as error:
         raise BadRequest(str(error)) from None
 
@@ -149,33 +145,10 @@ def _parse_program(payload: dict) -> Program:
 
 
 def _parse_machine(payload: dict) -> Machine:
-    name = payload.get("machine")
-    spec = payload.get("topology")
-    if (name is None) == (spec is None):
-        raise BadRequest("provide exactly one of 'machine' or 'topology'")
     try:
-        if name is not None:
-            if not isinstance(name, str):
-                raise BadRequest("'machine' must be a machine name")
-            from repro.topology.resolve import resolve_machine
-
-            machine = resolve_machine(name)
-        else:
-            if not isinstance(spec, str):
-                raise BadRequest("'topology' must be a topology spec string")
-            from repro.topology.parser import parse_topology
-
-            machine = parse_topology(spec)
-    except ServiceError:
-        raise
+        return machine_from_fields(payload)
     except ReproError as error:
         raise BadRequest(str(error)) from None
-    scale = _require(payload, float, "scale", 1.0)
-    if scale <= 0:
-        raise BadRequest(f"scale must be positive, got {scale}")
-    if scale != 1.0:
-        machine = machine.with_scaled_caches(1.0 / scale)
-    return machine
 
 
 def _select_nest(program: Program, payload: dict) -> LoopNest:
@@ -241,12 +214,16 @@ class RemapRequest:
 
     ``post`` is the request with the machine and knobs the event
     transitions to — the response's plan is always a plan *of the post
-    state*; ``pre_machine`` names the machine the caller ran on before.
+    state*; ``pre_machine`` names the machine the caller ran on before;
+    ``post_fields`` states the post state in the body's own fields
+    (``machine`` or ``topology``, ``scale``, ``dead_cores``, ``knobs``),
+    so merged into the next body it is that body's pre state.
     """
 
     post: MappingRequest
     pre_machine: str
     event: dict  # canonical echo, JSON-serializable
+    post_fields: dict
 
 
 def parse_remap_request(
@@ -272,7 +249,7 @@ def parse_remap_request(
     refuse the same events.
     """
     from repro.remap.core import RemapState, transition
-    from repro.remap.events import event_to_dict, parse_event
+    from repro.remap.events import TopologyEdit, event_to_dict, parse_event
 
     base = parse_request(payload, default_deadline_ms, allow_debug)
     raw_event = payload.get("event")
@@ -291,13 +268,17 @@ def parse_remap_request(
         pre_machine, post_machine = pre.machine, post.machine
     except ReproError as error:
         raise BadRequest(str(error)) from None
+    post_knobs = post.knobs[base.nest.name]
+    named_by = raw_event if isinstance(event, TopologyEdit) else payload
     return RemapRequest(
         post=dataclasses.replace(
-            base,
-            machine=post_machine,
-            knobs=post.knobs[base.nest.name],
-            topology_key="",
+            base, machine=post_machine, knobs=post_knobs, topology_key=""
         ),
         pre_machine=pre_machine.name,
         event=event_to_dict(event),
+        post_fields={
+            **machine_fields(named_by),
+            "dead_cores": sorted(post.dead),
+            "knobs": post_knobs.encode(),
+        },
     )

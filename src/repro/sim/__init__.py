@@ -26,22 +26,12 @@ synchronization.
 """
 
 from repro.sim.cachesim import SetAssociativeCache
-from repro.sim.dynamic import (
-    BehaviorModel,
-    CoreEvent,
-    ExecutionSample,
-    PhaseSpec,
-    simulate_dynamic,
-)
+from repro.sim.dynamic import simulate_dynamic
 from repro.sim.hierarchy import MachineSim
 from repro.sim.engine import SimConfig, simulate_plan
 from repro.sim.stats import LevelStats, SimResult
 
 __all__ = [
-    "BehaviorModel",
-    "CoreEvent",
-    "ExecutionSample",
-    "PhaseSpec",
     "SetAssociativeCache",
     "MachineSim",
     "SimConfig",

@@ -15,13 +15,19 @@ this is exactly the convention of Figure 6 in the paper.  Leaves are cores.
   accesses traverse (drives the simulator wiring);
 * :meth:`Machine.truncated` — a machine whose tree only distinguishes the
   first k cache levels (the L1+L2 / L1+L2+L3 versions of Figure 20).
+
+:func:`machine_digest` is a machine's identity: a short structural
+digest that every cache key, the service's topology key and the zoo
+fixtures' pinned digests use.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.errors import TopologyError
 from repro.topology.cache import CacheSpec
@@ -354,6 +360,40 @@ class Machine:
             lines.append(f"  {nodes[0].spec} x{len(nodes)} ({shared})")
         lines.append(f"  memory latency {self.memory_latency} cycles")
         return "\n".join(lines)
+
+
+def _node_spec(node: TopologyNode):
+    """Structural tuple for a tree node; deliberately excludes ``uid``
+    (a process-local counter that must not leak into cross-process
+    keys)."""
+    if node.kind == "core":
+        return ("core", node.core_id)
+    children = tuple(_node_spec(child) for child in node.children)
+    if node.kind == "cache":
+        spec = node.spec
+        return (
+            "cache",
+            spec.level,
+            spec.size_bytes,
+            spec.associativity,
+            spec.line_size,
+            spec.latency,
+            children,
+        )
+    return ("memory", children)
+
+
+@lru_cache(maxsize=256)
+def machine_digest(machine: Machine) -> str:
+    """Short structural digest of a machine (topology + timing)."""
+    spec = (
+        machine.name,
+        machine.clock_ghz,
+        machine.memory_latency,
+        machine.sockets,
+        _node_spec(machine.root),
+    )
+    return hashlib.sha256(repr(spec).encode()).hexdigest()[:16]
 
 
 def _level_rank(level: str) -> int:

@@ -12,11 +12,11 @@ from repro.experiments.cache import (
     clear,
     code_fingerprint,
     info,
-    machine_digest,
 )
 from repro.obs.sinks import CollectorSink
 from repro.sim.stats import LevelStats, SimResult
 from repro.topology.machines import dunnington, nehalem
+from repro.topology.tree import machine_digest
 
 
 def _result(cycles=100):

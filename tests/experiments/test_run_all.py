@@ -1,5 +1,8 @@
 """Unit tests for the run_all driver (steps monkeypatched for speed)."""
 
+import os
+import re
+
 import pytest
 
 from repro.experiments import run_all
@@ -44,6 +47,33 @@ class TestMain:
         assert run_all.main(["--charts"]) == 0
         out = capsys.readouterr().out
         assert "#" in out  # bar chart rendered
+
+
+class TestSlugs:
+    """A step's slug names its trace file, and ``--only`` matches it."""
+
+    def test_every_slug_is_a_bare_file_name(self):
+        for label, _runner in run_all._steps(None):
+            slug = run_all._slug(label)
+            assert re.fullmatch(r"[a-z0-9_]+", slug), (label, slug)
+
+    @pytest.mark.parametrize(
+        "needle, label",
+        [("figure_15", "Figure 15"), ("machine_zoo_irregular", "Machine zoo (irregular)")],
+    )
+    def test_ci_names_select_their_step(self, needle, label):
+        labels = [label for label, _runner in run_all._steps(None)]
+        assert [name for name in labels if run_all._matches(needle, name)] == [label]
+
+    def test_ablation_trace_lands_in_the_trace_dir(self, monkeypatch, tmp_path, capsys):
+        from repro.experiments import harness
+
+        monkeypatch.setenv(harness.TRACE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(
+            run_all.ablation_alpha_beta, "run", lambda *a, **k: fake_result()
+        )
+        assert run_all.main(["--only", "Ablation a/b", "--no-cache", "--jobs", "1"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["ablation_a_b.jsonl"]
 
 
 class TestParallelPrewarm:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.lang import compile_source
-from repro.pipeline.knobs import Knobs
 from repro.remap.core import Remapper, cold_plan
 from repro.remap.events import (
     CoreHotplug,
@@ -19,8 +18,6 @@ from repro.remap.events import (
     PhaseChange,
     TopologyEdit,
 )
-from repro.remap.watch import ExecutionWatcher
-from repro.sim.dynamic import BehaviorModel, CoreEvent, PhaseSpec
 
 from tests.conftest import bench_machine
 
@@ -52,6 +49,12 @@ HISTORIES = {
         TopologyEdit(bench_machine(4)),
         CoreLoss((0,)),
     ],
+    "balance_and_scheduling": [
+        PhaseChange.of(balance_threshold=0.05, local_scheduling=True),
+        CoreLoss((1,)),
+        CoreHotplug((1,)),
+        PhaseChange.of(balance_threshold=0.10, local_scheduling=False),
+    ],
 }
 
 
@@ -79,7 +82,8 @@ def test_stencil_remap_matches_cold(history, stencil_program, machine, knobs):
 
 
 @pytest.mark.parametrize(
-    "history", ["phase_only", "loss_hotplug_cycle", "edit_after_loss"]
+    "history",
+    ["phase_only", "loss_hotplug_cycle", "edit_after_loss", "balance_and_scheduling"],
 )
 def test_banded_remap_matches_cold(history, banded_program, machine, knobs):
     _check_history(banded_program, machine, knobs, HISTORIES[history])
@@ -118,26 +122,6 @@ def revisit_schedule(machine):
     ]
 
 
-def flapping_model(program, machine):
-    """Two alternating phases over 48 steps; one core lost and restored
-    six times, each loss/restore pair inside a smooth phase."""
-    smooth = PhaseSpec("smooth", steps=3, imbalance=0.02, sharing=0.20)
-    hot = PhaseSpec("hot", steps=3, imbalance=0.50, sharing=0.70)
-    lost = (machine.core_ids()[1],)
-    core_events = tuple(
-        CoreEvent(step=step, kind=kind, cores=lost)
-        for loss in (7, 13, 19, 31, 37, 43)
-        for step, kind in ((loss, "loss"), (loss + 1, "hotplug"))
-    )
-    return BehaviorModel(
-        nest_name=program.nests[0].name,
-        machine=machine,
-        phases=(smooth, hot) * 8,
-        core_events=core_events,
-        seed=7,
-    )
-
-
 def _mostly_replayed(outcomes):
     replayed = sum(o.stages_replayed for o in outcomes)
     recomputed = sum(o.stages_recomputed for o in outcomes)
@@ -160,16 +144,3 @@ def test_revisit_schedule_matches_cold(machine, knobs):
     outcomes = _check_history(program, machine, knobs, revisit_schedule(machine))
     assert _mostly_replayed(outcomes)
 
-
-def test_watched_model_matches_cold(banded_program, machine):
-    """Every remap the ExecutionWatcher derives from a BehaviorModel
-    stream over the banded loop equals a cold map of that state."""
-    knobs = Knobs(block_size=32, alpha=0.5, beta=0.5, local_scheduling=True)
-    remapper = Remapper(banded_program, machine, knobs=knobs)
-    outcomes = ExecutionWatcher(remapper).run(
-        flapping_model(banded_program, machine).samples()
-    )
-    assert {o.kind for o in outcomes} == {"phase_change", "core_loss", "core_hotplug"}
-    for outcome in outcomes:
-        _assert_matches_cold(banded_program, outcome)
-    assert _mostly_replayed(outcomes)

@@ -52,6 +52,8 @@ class TestCoreEvents:
             cls(())
         with pytest.raises(RemapError, match="non-negative"):
             cls((-1,))
+        with pytest.raises(RemapError, match="non-negative"):
+            cls((True,))
         with pytest.raises(RemapError, match="duplicate"):
             cls((1, 1))
 
@@ -90,6 +92,12 @@ class TestTopologyEdit:
         with pytest.raises(RemapError, match="scale"):
             parse_event(
                 {"kind": "topology_edit", "machine": "arch-I", "scale": -2}
+            )
+
+    def test_bool_scale_refused(self):
+        with pytest.raises(RemapError, match="scale"):
+            parse_event(
+                {"kind": "topology_edit", "machine": "arch-II", "scale": True}
             )
 
 

@@ -9,6 +9,12 @@ from repro.service.protocol import BadRequest, parse_remap_request, parse_reques
 from tests.service.conftest import BANDED_SOURCE
 
 
+MINIBOX = (
+    "name=minibox; cores=4; clock=2.0; mem=100; "
+    "L1:1K/2/32@2 per 1; L2:4K/4/32@8 per 2"
+)
+
+
 def banded_request(**extra):
     payload = {"source": BANDED_SOURCE, "machine": "dunnington"}
     payload.update(extra)
@@ -31,11 +37,7 @@ class TestParsing:
         assert request.machine.num_cores == 8
 
     def test_inline_topology(self):
-        spec = (
-            "name=minibox; cores=4; clock=2.0; mem=100; "
-            "L1:1K/2/32@2 per 1; L2:4K/4/32@8 per 2"
-        )
-        request = parse_request({"source": BANDED_SOURCE, "topology": spec})
+        request = parse_request({"source": BANDED_SOURCE, "topology": MINIBOX})
         assert request.machine.num_cores == 4
         assert request.machine.name == "minibox"
 
@@ -45,6 +47,10 @@ class TestParsing:
         assert (
             small.machine.total_cache_bytes() < full.machine.total_cache_bytes()
         )
+
+    def test_null_scale_is_the_default(self):
+        request = parse_request(banded_request(scale=None))
+        assert request.machine.name == "dunnington"
 
     def test_nest_by_name(self):
         request = parse_request(banded_request(name="banded", nest="banded"))
@@ -148,11 +154,15 @@ class TestKnobCodec:
             assert decoded.block_size is None
             assert decoded.local_scheduling is False
 
-    def test_max_groups_is_an_event_knob_only(self):
-        with pytest.raises(BadRequest, match="unknown knobs"):
+    def test_max_groups_refused_alike(self):
+        """``max_groups`` is the server's tagging guard: no wire surface
+        sets it, and both refuse it in the same words."""
+        with pytest.raises(BadRequest) as on_map:
             parse_request(banded_request(knobs={"max_groups": 10}))
-        remap = parse_remap_request(phase_change({"max_groups": 10}))
-        assert remap.post.knobs.max_groups == 10
+        with pytest.raises(BadRequest) as on_event:
+            parse_remap_request(phase_change({"max_groups": 10}))
+        assert str(on_map.value) == str(on_event.value)
+        assert str(on_map.value).startswith("unknown knobs ['max_groups']")
 
 
 class TestRemapParsing:
@@ -175,6 +185,33 @@ class TestRemapParsing:
         assert remap.pre_machine == "dunnington-less1"
         assert remap.post.machine.num_cores == 10
         assert remap.post.topology_key != parse_request(banded_request()).topology_key
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"kind": "phase_change", "knobs": {"alpha": 0.9, "block_size": 64}},
+            {"kind": "core_loss", "cores": [2]},
+            {"kind": "core_hotplug", "cores": [1]},
+            {"kind": "topology_edit", "machine": "arch-II", "scale": 32},
+            {"kind": "topology_edit", "topology": MINIBOX},
+        ],
+        ids=["phase", "loss", "hotplug", "edit-by-name", "edit-by-spec"],
+    )
+    def test_post_states_the_next_pre_state(self, event):
+        """Merged into the next body, ``post_fields`` is that body's pre
+        state: an event that changes nothing maps the same state again."""
+        remap = parse_remap_request(
+            banded_request(scale=32, dead_cores=[1], knobs={"alpha": 0.3}, event=event)
+        )
+        again = parse_remap_request({
+            "source": BANDED_SOURCE,
+            **remap.post_fields,
+            "event": {"kind": "phase_change", "knobs": {}},
+        })
+        assert again.pre_machine == remap.post.machine.name
+        assert again.post.topology_key == remap.post.topology_key
+        assert again.post.knobs == remap.post.knobs
+        assert again.post_fields == remap.post_fields
 
     @pytest.mark.parametrize(
         "extra",

@@ -171,6 +171,15 @@ class TestSingleProcess:
         assert response["key"] == primed["key"]
         assert response["remap"]["stages_recomputed"] == 0
 
+    def test_bool_scale_is_a_400(self, client):
+        status, _headers, body = client.request("POST", "/remap", {
+            "source": BANDED_SOURCE,
+            "machine": MACHINE,
+            "event": {"kind": "topology_edit", "machine": "arch-II", "scale": True},
+        })
+        assert status == 400
+        assert b"scale" in body
+
     def test_event_required(self, client):
         status, _headers, _body = client.request(
             "POST", "/remap", {"source": BANDED_SOURCE, "machine": MACHINE}

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.cache import machine_digest
 from repro.lang import compile_source
 from repro.mapping import TopologyAwareMapper
 from repro.runtime.serialize import machine_from_dict, machine_to_dict
 from repro.topology.ingest import NormalizeOptions, ingest_sysfs
 from repro.topology.ingest.zoo import zoo_dir, zoo_machine, zoo_names
+from repro.topology.tree import machine_digest
 
 needs_corpus = pytest.mark.skipif(zoo_dir() is None, reason="no fixture corpus")
 

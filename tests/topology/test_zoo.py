@@ -4,10 +4,10 @@ resulting machines run the mapping pipeline end-to-end."""
 import pytest
 
 from repro.errors import TopologyError
-from repro.experiments.cache import machine_digest
 from repro.lang import compile_source
 from repro.mapping import TopologyAwareMapper
 from repro.topology.ingest.zoo import zoo_dir, zoo_entries, zoo_machine, zoo_names
+from repro.topology.tree import machine_digest
 
 pytestmark = pytest.mark.skipif(zoo_dir() is None, reason="no fixture corpus")
 
