@@ -335,7 +335,6 @@ def cmd_serve(args) -> int:
             default_deadline_ms=args.deadline_ms,
             debug=args.debug,
             quiet=not args.verbose,
-            router_cache_capacity=0 if args.no_router_cache else 1024,
             health_interval_s=args.health_interval,
         )
         return ShardService(shard_config).serve()
@@ -354,6 +353,15 @@ def cmd_serve(args) -> int:
     return MappingService(config).serve()
 
 
+def _machine_field(args) -> dict:
+    """The wire field naming the flags' machine: ``topology`` holding the
+    ``--topology`` file's spec, else ``machine``."""
+    if args.topology:
+        with open(args.topology, "r", encoding="utf-8") as handle:
+            return {"topology": handle.read()}
+    return {"machine": args.machine}
+
+
 def cmd_submit(args) -> int:
     from repro.service.client import ServiceClient
 
@@ -367,15 +375,10 @@ def cmd_submit(args) -> int:
     }
     if args.block_size is not None:
         knobs["block_size"] = args.block_size
-    topology = None
-    if args.topology:
-        with open(args.topology, "r", encoding="utf-8") as handle:
-            topology = handle.read()
     client = ServiceClient(host=args.host, port=args.port, timeout=args.timeout)
     response = client.submit(
         source=source,
-        machine=None if topology else args.machine,
-        topology=topology,
+        **_machine_field(args),
         nest=args.nest,
         scale=float(args.scale),
         knobs=knobs,
@@ -390,7 +393,7 @@ def cmd_submit(args) -> int:
     flags = []
     if response["degraded"]:
         flags.append(f"DEGRADED ({response.get('degraded_reason', 'deadline')})")
-    if response["cache"] in ("memory", "disk"):
+    if response["cache"] in ("front", "router", "memory", "disk"):
         flags.append(f"cache hit ({response['cache']})")
     suffix = f" [{'; '.join(flags)}]" if flags else ""
     print(
@@ -489,7 +492,7 @@ def _remap_via_service(args, events: list[dict], knobs: dict) -> int:
     # each answer states its post state in the same fields
     # (``remap.post``), which the next body sends back as it came.
     state = {
-        "machine": args.machine,
+        **_machine_field(args),
         "scale": float(args.scale),
         "dead_cores": args.dead_cores or [],
         "knobs": knobs,
@@ -822,17 +825,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--threads", type=int, default=None, metavar="T",
                               help="admission worker threads per process "
                                    "(default: up to 4)")
-    serve_parser.add_argument("--no-router-cache", action="store_true",
-                              help="sharded mode: disable the router's "
-                                   "hot-key response cache")
     serve_parser.add_argument("--health-interval", type=float, default=0.25,
                               metavar="S",
                               help="sharded mode: dead-worker sweep period "
                                    "(default 0.25s)")
     serve_parser.add_argument("--lru-capacity", type=int, default=512,
-                              metavar="N", help="in-process cache entries")
+                              metavar="N",
+                              help="entries of each in-process cache (the "
+                                   "reply cache and the content LRU)")
     serve_parser.add_argument("--persistent", action="store_true",
-                              help="enable the on-disk mapping cache tier")
+                              help="enable the on-disk plan tier")
     serve_parser.add_argument("--cache-dir", default=None, metavar="DIR",
                               help="persistent cache directory (default: "
                                    "$REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -900,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="base machine name")
     remap_parser.add_argument("--topology", default=None,
                               help="file with a topology spec string "
-                                   "(overrides --machine; local mode only)")
+                                   "(overrides --machine)")
     remap_parser.add_argument("--scale", type=int, default=32,
                               help="divide cache capacities by this factor "
                                    "(default 32)")

@@ -13,10 +13,12 @@ ident epoch, in the ``plans`` namespace of
 module for the fingerprint, the cross-process merge-on-write and the
 single-writer compaction).
 
-The service engine (:func:`repro.service.engine.compute_mapping`)
-consults this tier before running anything, so a restarted daemon, or
-a sibling worker of the shard, serves a plan computed earlier without
-running the chain.
+This is the service's one disk tier: the daemon reads it
+(:func:`repro.service.engine.stored_mapping`) after a miss of its
+content LRU, before queueing anything, so a restarted daemon, or a
+sibling worker of the shard, serves a plan computed earlier without
+running the chain; :func:`~repro.service.engine.compute_mapping` writes
+through to it.
 """
 
 from __future__ import annotations

@@ -8,12 +8,12 @@ tag -> affinity -> cluster -> balance -> schedule pipeline over HTTP/JSON
 with nothing beyond the standard library:
 
 * :mod:`repro.service.protocol` — request/response schema, content keys;
-* :mod:`repro.service.engine` — pipeline + baseline execution per request;
-* :mod:`repro.service.mapcache` — two-tier (LRU + persistent) result cache;
+* :mod:`repro.service.engine` — pipeline + baseline execution per
+  request, and the read of the disk tier (the plan store);
 * :mod:`repro.service.admission` — bounded queue and worker pool;
 * :mod:`repro.service.server` — the one HTTP stack (listener, routes,
-  body checks, error mapping, drain loop) and the single-process daemon
-  on it (``repro serve``);
+  body checks, error mapping, reply cache, drain loop) and the
+  single-process daemon on it (``repro serve``), with its content LRU;
 * :mod:`repro.service.client` — the client API (``repro submit``), which
   the shard router also forwards through;
 * :mod:`repro.service.hashring` — consistent hashing for shard routing;
@@ -25,7 +25,7 @@ Quick start::
 
     from repro.service import MappingService, ServiceClient
 
-    service = MappingService()         # ephemeral port, in-process cache
+    service = MappingService(port=0)   # ephemeral port, in-process caches
     service.start()
     client = ServiceClient(port=service.port)
     response = client.submit(source=SOURCE_TEXT, machine="dunnington")
@@ -37,7 +37,6 @@ the cache-tier behavior.
 
 from repro.service.client import ServiceClient
 from repro.service.hashring import HashRing
-from repro.service.mapcache import MappingCache
 from repro.service.protocol import (
     BadRequest,
     MappingRequest,
@@ -52,7 +51,6 @@ from repro.service.shard import ShardConfig, ShardService
 __all__ = [
     "BadRequest",
     "HashRing",
-    "MappingCache",
     "MappingRequest",
     "MappingService",
     "Overloaded",

@@ -10,10 +10,11 @@ where the pipeline costs milliseconds).
 
 Requests share the process-wide artifact store, so two requests that
 differ only in late knobs (α/β, the balance threshold) replay the early
-stages from cache even when their full-response cache keys differ —
-that reuse sits *under* the response-level
-:class:`~repro.service.mapcache.MappingCache`, which still provides
-exact whole-payload hits.
+stages from cache even when their content keys differ — that reuse sits
+*under* the server's content tier, which still provides exact
+whole-payload hits.  :func:`stored_mapping` reads the disk tier (the
+:class:`~repro.pipeline.persist.PlanStore`) that :func:`compute_mapping`
+and :func:`compute_remap` write through to.
 
 Both entry points produce the same payload shape, with the plan
 serialized through :mod:`repro.runtime.serialize` so a client can
@@ -70,28 +71,39 @@ def _stats(result: MappingResult, elapsed_ms: float) -> dict:
     }
 
 
+def _plan_key(request: MappingRequest) -> tuple:
+    """The disk tier's key of ``request``'s plan."""
+    pipeline = MappingPipeline(request.machine, request.knobs)
+    return pipeline.plan_key(request.program, request.nest)
+
+
+def stored_mapping(request: MappingRequest, plans) -> dict | None:
+    """The payload of ``request``'s plan in the disk tier ``plans``, or
+    ``None``.
+
+    ``plans`` is the shared :class:`~repro.pipeline.persist.PlanStore`:
+    a hit serves the persisted final plan (computed before a restart, or
+    by a sibling worker process of the shard) without running any stage.
+    """
+    started = time.perf_counter()
+    plan = plans.get(_plan_key(request), request.machine, request.nest)
+    if plan is None:
+        obs.count("service.plan_tier.misses")
+        return None
+    obs.count("service.plan_tier.hits")
+    elapsed_ms = (time.perf_counter() - started) * 1e3
+    return _payload(
+        request, plan, {"pipeline_ms": round(elapsed_ms, 3), "plan_tier": "disk"}
+    )
+
+
 def compute_mapping(request: MappingRequest, plans=None) -> dict:
     """Run the staged pipeline; the result is the cacheable response body.
 
-    ``plans`` optionally names the shared
-    :class:`~repro.pipeline.persist.PlanStore` disk tier: a hit serves
-    the persisted final plan (possibly computed by a sibling worker
-    process of the shard) without running any stage, and a computed plan
-    is written through for the siblings.
+    A computed plan is written through to ``plans``, the optional disk
+    tier, for later restarts and the shard's sibling workers.
     """
     pipeline = MappingPipeline(request.machine, request.knobs, store=default_store())
-    if plans is not None:
-        plan_key = pipeline.plan_key(request.program, request.nest)
-        started = time.perf_counter()
-        cached = plans.get(plan_key, request.machine, request.nest)
-        if cached is not None:
-            obs.count("service.plan_tier.hits")
-            elapsed_ms = (time.perf_counter() - started) * 1e3
-            return _payload(
-                request, cached,
-                {"pipeline_ms": round(elapsed_ms, 3), "plan_tier": "disk"},
-            )
-        obs.count("service.plan_tier.misses")
     started = time.perf_counter()
     with obs.span(
         "service.pipeline",
@@ -103,7 +115,7 @@ def compute_mapping(request: MappingRequest, plans=None) -> dict:
     obs.count("service.pipeline.runs")
     plan = result.plan()
     if plans is not None:
-        plans.put(plan_key, plan)
+        plans.put(pipeline.plan_key(request.program, request.nest), plan)
     return _payload(request, plan, _stats(result, elapsed_ms))
 
 
@@ -118,10 +130,9 @@ def compute_remap(remap: RemapRequest, plans=None) -> dict:
     vs recomputed, and stating the post state as ``post`` in the body's
     own fields: the caller merges it into its next ``/remap`` body.
 
-    The response-level mapping cache and the plan disk tier are *not*
-    consulted: the point of the endpoint is an honest incremental
-    recompute of the post state (a computed plan is still written
-    through to ``plans`` for later ``/map`` traffic).
+    No cache tier is consulted: the point of the endpoint is an honest
+    incremental recompute of the post state (a computed plan is still
+    written through to ``plans`` for later ``/map`` traffic).
     """
     from repro.remap.core import replay
 
@@ -135,8 +146,7 @@ def compute_remap(remap: RemapRequest, plans=None) -> dict:
     result = results[post.nest.name]
     plan = result.plan()
     if plans is not None:
-        pipeline = MappingPipeline(post.machine, post.knobs)
-        plans.put(pipeline.plan_key(post.program, post.nest), plan)
+        plans.put(_plan_key(post), plan)
     payload = _payload(post, plan, _stats(result, elapsed_ms))
     payload["remap"] = {
         "event": remap.event,

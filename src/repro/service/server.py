@@ -1,7 +1,7 @@
 """The HTTP/JSON mapping daemon (``repro serve``) and its HTTP stack.
 
 One :class:`MappingService` owns the four moving parts — admission queue,
-worker pool, two-tier cache, and stats — behind the one HTTP front end
+worker pool, content tiers, and stats — behind the one HTTP front end
 defined here (:class:`HTTPFront`), which the shard router
 (:mod:`repro.service.shard`) runs too:
 
@@ -15,8 +15,8 @@ defined here (:class:`HTTPFront`), which the shard router
     topology edit (see :func:`~repro.service.protocol.parse_remap_request`
     and :func:`~repro.service.engine.compute_remap`).  Always runs the
     incremental pipeline — no cache read, no coalescing, no
-    degradation — and publishes the post-state payload to the mapping
-    cache for later ``/map`` traffic.
+    degradation — and publishes the post-state payload to the content
+    LRU for later ``/map`` traffic.
 ``GET /healthz``, ``GET /stats``, ``GET /metrics``, ``GET /version``
     Liveness, JSON stats (including cache hit counters and queue depth),
     Prometheus-style text metrics bridged from the :mod:`repro.obs`
@@ -31,7 +31,19 @@ answers its own status and ``Retry-After``, any other
 answer counts once as ``http.<status>``), the ``/version`` payload, a
 bind-first ``start``/``stop`` and the signal-driven ``serve`` loop.  A
 front supplies only its payloads: the health, stats and metrics bodies
-and ``post(path, raw) -> (status, headers, bytes)``.
+and ``answer(path, raw, payload) -> (status, headers, body)``.
+
+**One reply cache**: the front keeps an LRU of answer bytes keyed by the
+sha256 of the raw body (``lru_capacity`` entries).  A byte-identical
+repeat of a cacheable ``/map`` — its answer was a 200 that is ``ok``,
+not ``degraded`` and not sent with ``no_cache`` — replays those bytes
+before the body is even decoded, with ``cache`` set to the front's
+:attr:`HTTPFront.reply_cache` (``"front"`` on the daemon, ``"router"``
+on the shard router).  A replay keeps the original ``request_id``,
+``elapsed_ms`` and ``queue_wait_ms``.  No ``/remap`` answer is stored.
+Behind it the daemon has one content tier (an LRU of payloads by content
+key) and, with ``--persistent``, one disk tier (the plan store of
+:mod:`repro.pipeline.persist`), both read on the handler thread.
 
 **Deadline-aware degradation**: a request with ``deadline_ms`` (or the
 server default) is checked when a worker picks it up.  If the time
@@ -52,6 +64,7 @@ persistent cache tier, and only then exit.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -65,8 +78,12 @@ import repro
 from repro import obs
 from repro.errors import ReproError
 from repro.service.admission import AdmissionQueue, Job
-from repro.service.engine import baseline_mapping, compute_mapping, compute_remap
-from repro.service.mapcache import MappingCache
+from repro.service.engine import (
+    baseline_mapping,
+    compute_mapping,
+    compute_remap,
+    stored_mapping,
+)
 from repro.service.protocol import (
     BadRequest,
     MappingRequest,
@@ -75,7 +92,7 @@ from repro.service.protocol import (
     parse_remap_request,
     parse_request,
 )
-from repro.util.store import encode_key
+from repro.util.store import LRU, encode_key
 
 #: Environment variable enabling per-request trace capture.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
@@ -217,7 +234,7 @@ class HTTPFront:
     """One HTTP front end: listener, routes, error mapping, lifecycle.
 
     Subclasses supply the payloads — :meth:`stats_payload`,
-    :meth:`metric_lines`, :meth:`post` and, optionally,
+    :meth:`metric_lines`, :meth:`answer` and, optionally,
     :meth:`health_payload` — plus :meth:`_banner` and the lifecycle hooks
     :meth:`_open` (runs once the port is bound) and :meth:`_drain` (runs
     before the listener closes).
@@ -227,6 +244,9 @@ class HTTPFront:
     config_type: type = ServiceConfig
     #: Reported as ``mode`` by ``/version`` (and the front's ``/stats``).
     mode: str | None = None
+    #: The ``cache`` value of a replayed answer; replays count as
+    #: ``<reply_cache>_cache.hits``.
+    reply_cache: str = "front"
 
     def __init__(self, config=None, **overrides):
         if config is None:
@@ -237,6 +257,8 @@ class HTTPFront:
             )
         self.config = config
         self.stats = ServiceStats()
+        # The reply cache: answer bytes by sha256 of the raw /map body.
+        self.replies = LRU(config.lru_capacity)
         self.started_at: float | None = None
         self.draining = False
         self._httpd: _Listener | None = None
@@ -387,27 +409,59 @@ class HTTPFront:
     def post(self, path: str, raw: bytes) -> tuple[int, dict[str, str], bytes]:
         """Answer one ``POST /map`` or ``/remap`` body: (status, headers, body).
 
-        Raise a :class:`ServiceError` (or any exception) to answer an
-        error; the handler maps it.
+        A byte-identical repeat of a cacheable ``/map`` replays the
+        stored answer without decoding the body; everything else goes
+        through :meth:`answer`.  Raise a :class:`ServiceError` (or any
+        exception) to answer an error; the handler maps it.
         """
+        started = time.monotonic()
+        self.stats.bump("requests")
+        digest = None
+        if path == "/map":
+            digest = hashlib.sha256(raw).digest()
+            replay = self.replies.get(digest)
+            if replay is not None:
+                self.stats.bump(f"{self.reply_cache}_cache.hits")
+                self.stats.observe_latency((time.monotonic() - started) * 1e3)
+                return 200, {}, replay
+        else:
+            self.stats.bump("remap_requests")
+        payload = decode_body(raw)
+        status, headers, body = self.answer(path, raw, payload)
+        if (
+            digest is not None
+            and status == 200
+            and body.get("ok") is True
+            and not body.get("degraded")
+            and payload.get("no_cache") is not True
+        ):
+            replay = {**body, "cache": self.reply_cache}
+            self.replies.put(digest, json.dumps(replay).encode())
+        self.stats.observe_latency((time.monotonic() - started) * 1e3)
+        return status, headers, json.dumps(body).encode()
+
+    def answer(
+        self, path: str, raw: bytes, payload: dict
+    ) -> tuple[int, dict[str, str], dict]:
+        """Answer one decoded body that the reply cache did not: (status,
+        headers, JSON body)."""
         raise NotImplementedError
 
 
 class MappingService(HTTPFront):
-    """The daemon: owns the HTTP front, workers, cache, and stats."""
+    """The daemon: owns the HTTP front, workers, content tiers, and stats."""
 
     def __init__(self, config: ServiceConfig | None = None, **overrides):
         super().__init__(config, **overrides)
         config = self.config
-        self.cache = MappingCache(
-            capacity=config.lru_capacity,
-            directory=config.cache_dir,
-            persistent=config.persistent,
-        )
-        # The shared final-plan disk tier (repro.pipeline.persist): with
-        # persistence on, every worker process of a shard writes through
-        # to the same plans-<fp>.json, so a plan computed anywhere serves
-        # everywhere (the store is lock+merge safe across processes).
+        # The content tier: /map payloads by content key, so a repeat
+        # that is not byte-identical (another deadline, the post state
+        # of a /remap) still skips the pipeline.
+        self.contents = LRU(config.lru_capacity)
+        # The disk tier (repro.pipeline.persist): with persistence on,
+        # every worker process of a shard writes through to the same
+        # plans-<fp>.json, so a plan computed anywhere serves everywhere
+        # (the store is lock+merge safe across processes).
         self.plans = None
         if config.persistent:
             from repro.pipeline.persist import PlanStore
@@ -448,58 +502,61 @@ class MappingService(HTTPFront):
     def _banner(self) -> str:
         return (
             f"queue={self.config.queue_size}, workers={self.config.workers}, "
-            f"cache={'lru+disk' if self.cache.persistent else 'lru'}"
+            f"cache={'lru+disk' if self.plans is not None else 'lru'}"
         )
 
-    def post(self, path: str, raw: bytes) -> tuple[int, dict[str, str], bytes]:
+    def answer(
+        self, path: str, raw: bytes, payload: dict
+    ) -> tuple[int, dict[str, str], dict]:
         handler = self.handle_remap if path == "/remap" else self.handle_map
-        status, body = handler(decode_body(raw))
-        return status, {}, json.dumps(body).encode()
+        return 200, {}, handler(payload)
 
     # -- request processing ---------------------------------------------
-    def handle_map(self, payload: dict) -> tuple[int, dict]:
-        """The full admission + cache + compute flow for one request.
+    def handle_map(self, payload: dict) -> dict:
+        """The admission + content tiers + compute flow for one request.
 
-        Returns ``(http_status, response_body)``; raises
-        :class:`ServiceError` subclasses for backpressure and validation
-        failures (the transport turns them into their ``status``).
+        Returns the response body; raises :class:`ServiceError`
+        subclasses for backpressure and validation failures (the
+        transport turns them into their ``status``).
         """
         started = time.monotonic()
         request_id = uuid.uuid4().hex[:12]
-        self.stats.bump("requests")
         request = parse_request(
             payload,
             default_deadline_ms=self.config.default_deadline_ms,
             allow_debug=self.config.debug,
         )
-        if not request.no_cache:
-            hit = self.cache.get(request.cache_key)
-            if hit is not None:
-                value, tier = hit
-                self.stats.bump(f"cache.{tier}")
-                return 200, self._respond(
-                    request, request_id, value,
-                    degraded=False, cache=tier, started=started,
-                )
-        self.stats.bump("cache.miss" if not request.no_cache else "cache.bypass")
-        if self.draining:
-            raise Unavailable("service is draining")
         if request.no_cache:
-            # Bypass requests demand a fresh compute: they neither join
-            # an in-flight job nor become one others may join.
+            # Bypass requests read no tier and demand a fresh compute:
+            # they neither join an in-flight job nor become one others
+            # may join.
+            self.stats.bump("cache.bypass")
+            if self.draining:
+                raise Unavailable("service is draining")
             job = Job(request=request, request_id=request_id)
             self.admission.submit(job)  # raises Overloaded on a full queue
             value = self._await(job, request_id)
-            return 200, self._respond(
+            return self._respond(
                 request, request_id, value["payload"],
                 degraded=bool(value.get("degraded")), cache="bypass",
                 started=started, queue_wait_ms=job.queue_wait_ms,
                 degraded_reason=value.get("degraded_reason"),
             )
+        encoded = encode_key(request.cache_key)
+        hit = self._stored(request, encoded)
+        if hit is not None:
+            value, tier = hit
+            self.stats.bump(f"cache.{tier}")
+            return self._respond(
+                request, request_id, value,
+                degraded=False, cache=tier, started=started,
+            )
+        self.stats.bump("cache.miss")
+        if self.draining:
+            raise Unavailable("service is draining")
         # Coalescing: exactly one thread becomes the leader for a cold
         # key; the check-and-register is atomic, so concurrent identical
         # requests cost one pipeline compute however they interleave.
-        encoded = encode_key(request.cache_key)
         with self._inflight_lock:
             job = self._inflight.get(encoded)
             leader = job is None
@@ -510,7 +567,7 @@ class MappingService(HTTPFront):
             self.stats.bump("coalesced")
             obs.count("service.coalesced")
             value = self._await(job, request_id)
-            return 200, self._respond(
+            return self._respond(
                 request, request_id, value["payload"],
                 degraded=bool(value.get("degraded")), cache="coalesced",
                 started=started, queue_wait_ms=job.queue_wait_ms,
@@ -521,34 +578,32 @@ class MappingService(HTTPFront):
             value = self._await(job, request_id)
             degraded = bool(value.get("degraded"))
             if not degraded:
-                # Publish to the cache *before* retiring the in-flight
-                # entry, so a request arriving in between finds one of
-                # the two — never a second compute.
-                self.cache.put(request.cache_key, value["payload"])
+                # Publish to the content tier *before* retiring the
+                # in-flight entry, so a request arriving in between finds
+                # one of the two — never a second compute.
+                self.contents.put(encoded, value["payload"])
         finally:
             with self._inflight_lock:
                 self._inflight.pop(encoded, None)
-        return 200, self._respond(
+        return self._respond(
             request, request_id, value["payload"],
             degraded=degraded, cache="none",
             started=started, queue_wait_ms=job.queue_wait_ms,
             degraded_reason=value.get("degraded_reason"),
         )
 
-    def handle_remap(self, payload: dict) -> tuple[int, dict]:
+    def handle_remap(self, payload: dict) -> dict:
         """The ``POST /remap`` flow: parse pre/post states, remap post.
 
-        Unlike ``/map`` there is no response-cache read, no coalescing
-        and no deadline degradation — a remap is an explicit "my state
-        changed, recompute what's dirty" and must always run the
-        (incremental) pipeline.  The computed post-state payload *is*
-        published to the mapping cache, so follow-up ``/map`` traffic
-        for the post state hits.
+        Unlike ``/map`` there is no cache read, no coalescing and no
+        deadline degradation — a remap is an explicit "my state changed,
+        recompute what's dirty" and must always run the (incremental)
+        pipeline.  The computed post-state payload *is* published to the
+        content tier, so follow-up ``/map`` traffic for the post state
+        hits.
         """
         started = time.monotonic()
         request_id = uuid.uuid4().hex[:12]
-        self.stats.bump("requests")
-        self.stats.bump("remap_requests")
         remap = parse_remap_request(
             payload,
             default_deadline_ms=self.config.default_deadline_ms,
@@ -564,12 +619,29 @@ class MappingService(HTTPFront):
         payload_out = value["payload"]
         if not remap.post.no_cache:
             cacheable = {k: v for k, v in payload_out.items() if k != "remap"}
-            self.cache.put(remap.post.cache_key, cacheable)
-        return 200, self._respond(
+            self.contents.put(encode_key(remap.post.cache_key), cacheable)
+        return self._respond(
             remap.post, request_id, payload_out,
             degraded=False, cache="none",
             started=started, queue_wait_ms=job.queue_wait_ms,
         )
+
+    def _stored(
+        self, request: MappingRequest, encoded: str
+    ) -> tuple[dict, str] | None:
+        """The content tier's payload, else the disk tier's (promoted into
+        the content tier), with the tier that answered; ``None`` on a
+        miss of both."""
+        payload = self.contents.get(encoded)
+        if payload is not None:
+            return payload, "memory"
+        if self.plans is None:
+            return None
+        payload = stored_mapping(request, self.plans)
+        if payload is None:
+            return None
+        self.contents.put(encoded, payload)
+        return payload, "disk"
 
     def _await(self, job: Job, request_id: str) -> dict:
         """Wait for a job (own or a coalesced leader's) to finish."""
@@ -595,7 +667,6 @@ class MappingService(HTTPFront):
         degraded_reason: str | None = None,
     ) -> dict:
         elapsed_ms = (time.monotonic() - started) * 1e3
-        self.stats.observe_latency(elapsed_ms)
         if degraded:
             self.stats.bump("degraded")
         body = {
@@ -695,20 +766,32 @@ class MappingService(HTTPFront):
                 "submitted": self.admission.submitted,
                 "rejected": self.admission.rejected,
             },
-            cache=self.cache.stats(),
+            cache={
+                "front": self.replies.stats(),
+                "memory": self.contents.stats(),
+                "disk": self.plans.path if self.plans is not None else None,
+            },
         )
         return payload
 
     def metric_lines(self, stats: dict) -> list[str]:
-        cache = stats["cache"]
-        lines = counter_lines("repro_service", stats["counters"])
-        for tier in ("memory", "disk"):
+        counters = stats["counters"]
+        lines = counter_lines("repro_service", counters)
+        for tier, name in (
+            (self.reply_cache, f"{self.reply_cache}_cache.hits"),
+            ("memory", "cache.memory"),
+            ("disk", "cache.disk"),
+        ):
             lines.append(
                 f'repro_service_cache_hits_total{{tier="{tier}"}} '
-                f"{cache[f'hits_{tier}']}"
+                f"{counters.get(name, 0)}"
             )
-        lines.append(f"repro_service_cache_misses_total {cache['misses']}")
-        lines.append(f"repro_service_cache_entries {cache['entries']}")
+        lines.append(
+            f"repro_service_cache_misses_total {counters.get('cache.miss', 0)}"
+        )
+        lines.append(
+            f"repro_service_cache_entries {stats['cache']['memory']['entries']}"
+        )
         lines += latency_lines("repro_service", stats["latency"])
         obs_counters = dict(self.stats.obs_counters)
         recorder = obs.get_recorder()

@@ -5,7 +5,7 @@
                         +--------------------------+
      clients ---------> |  ShardService (router)   |
                         |  - consistent-hash ring  |
-                        |  - hot-key response cache|
+                        |  - front reply cache     |
                         |  - health check/restart  |
                         |  - stats aggregation     |
                         +-----+--------+-----------+
@@ -20,14 +20,15 @@
                           |                |
                           +-------+--------+
                                   v
-                  shared cache directory (plans- and mappings-
-                  files, repro.util.store merge-on-write)
+                  shared cache directory (one plans- file,
+                  repro.util.store merge-on-write)
 
 The router is an :class:`~repro.service.server.HTTPFront`, like the
 single-process daemon: the same listener, routes, body checks, error
-mapping, bind-first start and signal-driven drain.  It differs only in
-what its ``post`` does with a raw body: hash it, forward it unchanged
-through :meth:`ServiceClient.request`, and annotate the answer.
+mapping, reply cache, bind-first start and signal-driven drain.  It
+differs only in what its ``answer`` does with a body the reply cache
+did not answer: hash it, forward it unchanged through
+:meth:`ServiceClient.request`, and tag the answer with its worker.
 
 Routing is by **program digest**: the router hashes each request's
 program (its ``source`` text or serialized ``program`` object) onto a
@@ -41,11 +42,8 @@ pipe.  Kernel-level sharding of one port across processes is
 deliberately not used: it would scatter a program's requests across
 workers and defeat both affinity and coalescing.
 
-The router keeps a small LRU of **verbatim response bytes** keyed by the
-sha256 of the raw request body: byte-identical repeats of a cacheable
-request (no ``no_cache``, previous answer ``ok`` and not degraded) are
-answered without touching a worker — the hot-key fast path that lets a
-shard beat the single process even on warm-dominated traffic.
+The front's reply cache answers a byte-identical repeat of a cacheable
+``/map`` without touching a worker, as ``cache: "router"``.
 
 Failure model: if a worker dies mid-request (e.g. SIGKILL), the proxy's
 connection breaks, the in-flight request answers a clean ``503`` with
@@ -67,7 +65,6 @@ import multiprocessing
 import signal
 import sys
 import threading
-import time
 from dataclasses import dataclass
 from http.client import HTTPException
 
@@ -81,10 +78,8 @@ from repro.service.server import (
     MappingService,
     ServiceConfig,
     counter_lines,
-    decode_body,
     latency_lines,
 )
-from repro.util.store import LRU
 
 __all__ = ["ShardConfig", "ShardService", "shard_key"]
 
@@ -132,8 +127,6 @@ class ShardConfig:
     drain_timeout_s: float = 30.0
     debug: bool = False
     quiet: bool = True
-    #: Router-level verbatim-response LRU; 0 disables it.
-    router_cache_capacity: int = 1024
     #: Dead-worker sweep period for the health thread.
     health_interval_s: float = 0.25
 
@@ -208,6 +201,7 @@ class ShardService(HTTPFront):
 
     config_type = ShardConfig
     mode = "shard"
+    reply_cache = "router"
 
     def __init__(self, config: ShardConfig | None = None, **overrides):
         super().__init__(config, **overrides)
@@ -217,8 +211,6 @@ class ShardService(HTTPFront):
         self.ring = HashRing(slots)
         self.workers = [WorkerHandle(slot) for slot in slots]
         self._by_slot = {handle.slot: handle for handle in self.workers}
-        capacity = self.config.router_cache_capacity
-        self._cache = LRU(capacity) if capacity > 0 else None
         self._health_thread: threading.Thread | None = None
         self._stop_health = threading.Event()
         self._spawn_lock = threading.Lock()
@@ -367,7 +359,7 @@ class ShardService(HTTPFront):
         c = self.config
         return (
             f"shard: workers={c.workers}, threads={c.threads}, "
-            f"queue={c.queue_size}, router-cache={c.router_cache_capacity}"
+            f"queue={c.queue_size}, lru={c.lru_capacity}"
         )
 
     def _exit_report(self) -> list[str]:
@@ -377,30 +369,16 @@ class ShardService(HTTPFront):
         ]
 
     # -- routing ---------------------------------------------------------
-    def post(self, path: str, raw: bytes) -> tuple[int, dict[str, str], bytes]:
+    def answer(
+        self, path: str, raw: bytes, payload: dict
+    ) -> tuple[int, dict[str, str], dict]:
         """Route one ``POST /map`` or ``POST /remap`` body.
 
         Both verbs route by the same program digest, so a ``/remap``
         lands on the worker whose artifact store is warm from that
         program's earlier ``/map`` traffic — that warmth is exactly what
-        makes the remap incremental.  A router-cache hit replays stored
-        bytes without decoding the body.
+        makes the remap incremental.  A 200 is tagged with its worker.
         """
-        started = time.monotonic()
-        self.stats.bump("requests")
-        if path == "/remap":
-            self.stats.bump("remap_requests")
-        digest = None
-        if self._cache is not None:
-            # The digest is namespaced by path: a /map and a /remap with
-            # identical bodies must never serve each other's responses.
-            digest = hashlib.sha256(path.encode() + b"\0" + raw).hexdigest()
-            hit = self._cache.get(digest)
-            if hit is not None:
-                self.stats.bump("router_cache.hits")
-                self.stats.observe_latency((time.monotonic() - started) * 1e3)
-                return 200, {}, hit
-        payload = decode_body(raw)
         with self._inflight_cv:
             self._inflight += 1
         try:
@@ -412,11 +390,10 @@ class ShardService(HTTPFront):
         out_headers = {}
         if "retry-after" in headers:
             out_headers["Retry-After"] = headers["retry-after"]
+        body = json.loads(data)
         if status == 200:
-            cacheable = digest is not None and payload.get("no_cache") is not True
-            data = self._annotate(slot, data, digest if cacheable else None)
-        self.stats.observe_latency((time.monotonic() - started) * 1e3)
-        return status, out_headers, data
+            body["worker"] = slot
+        return status, out_headers, body
 
     def _forward(
         self, path: str, raw: bytes, payload: dict
@@ -450,26 +427,6 @@ class ShardService(HTTPFront):
                 f"{handle.pid}): {type(error).__name__}: {error}); retry",
                 retry_after=1,
             ) from error
-
-    def _annotate(self, slot: str, data: bytes, digest: str | None) -> bytes:
-        """Tag a 200 response with its worker; with a ``digest``, cache it
-        when it is ``ok`` and not degraded."""
-        try:
-            parsed = json.loads(data)
-        except ValueError:
-            return data
-        parsed["worker"] = slot
-        if (
-            digest is not None
-            and parsed.get("ok") is True
-            and not parsed.get("degraded")
-        ):
-            # Stored verbatim: a router-cache hit replays these bytes
-            # (with ``cache`` rewritten) without any JSON work.
-            replay = dict(parsed)
-            replay["cache"] = "router"
-            self._cache.put(digest, json.dumps(replay).encode())
-        return json.dumps(parsed).encode()
 
     # -- payloads --------------------------------------------------------
     def _worker_stats(self, handle: WorkerHandle) -> dict:
@@ -508,7 +465,7 @@ class ShardService(HTTPFront):
             "router": {
                 "counters": snapshot["counters"],
                 "latency": snapshot["latency"],
-                "cache": self._cache.stats() if self._cache else None,
+                "cache": self.replies.stats(),
                 "ring": {
                     "nodes": self.ring.nodes,
                     "replicas": self.ring.replicas,
@@ -529,10 +486,9 @@ class ShardService(HTTPFront):
             *counter_lines("repro_router", router["counters"]),
         ]
         cache = router["cache"]
-        if cache is not None:
-            lines.append(f"repro_router_cache_hits_total {cache['hits']}")
-            lines.append(f"repro_router_cache_misses_total {cache['misses']}")
-            lines.append(f"repro_router_cache_entries {cache['entries']}")
+        lines.append(f"repro_router_cache_hits_total {cache['hits']}")
+        lines.append(f"repro_router_cache_misses_total {cache['misses']}")
+        lines.append(f"repro_router_cache_entries {cache['entries']}")
         lines += counter_lines("repro_service", stats["counters"])
         for handle in self.workers:
             lines.append(

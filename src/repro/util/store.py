@@ -6,15 +6,14 @@ the two classes here:
 
 * :class:`LRU` — a bounded, thread-safe in-process LRU with hit, miss
   and eviction counts.  It backs the pipeline's artifact store, the
-  memory tier of the service's mapping cache and the shard router's
-  response-byte cache.
+  service's content tier and the reply cache of both HTTP fronts.
 * :class:`JsonStore` — one namespace of JSON entries in one file,
   ``<namespace>-<fp12>.json`` under a cache directory, with payload
   ``{"format", "fingerprint", <namespace>: {key: value}}``.  The code
   fingerprint in the file name means a code change starts a fresh file
   instead of serving stale entries; a corrupt or foreign file reads as
-  empty.  The namespaces are ``plans`` (:mod:`repro.pipeline.persist`),
-  ``mappings`` (:mod:`repro.service.mapcache`) and ``results``
+  empty.  The namespaces are ``plans`` (:mod:`repro.pipeline.persist`,
+  the service's one disk tier) and ``results``
   (:mod:`repro.experiments.cache`); each keeps only its own codec.
 
 **Many processes, one file.**  Service workers and concurrent experiment
@@ -49,8 +48,10 @@ from repro.util.filelock import FileLock
 #: Schema tag of every store file's payload.
 STORE_FORMAT = 1
 
-#: Every namespace a :class:`JsonStore` is opened under; :func:`info`
-#: and :func:`clear` look for exactly these files.
+#: The namespaces :func:`info` and :func:`clear` look for: the two a
+#: :class:`JsonStore` is opened under, and ``mappings``, the service's
+#: whole-payload disk tier in earlier versions, so that an old cache
+#: directory's files are still listed and removed.
 NAMESPACES = ("plans", "mappings", "results")
 
 

@@ -18,7 +18,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.store import ident_epoch
 from repro.runtime.serialize import plan_from_dict
-from repro.service.engine import compute_mapping
+from repro.service.engine import compute_mapping, stored_mapping
 from repro.service.protocol import MappingRequest
 
 
@@ -99,8 +99,8 @@ class TestIdentEpoch:
 
 
 class TestPlanStore:
-    """The persistent plan tier, written and read by the service's
-    ``compute_mapping``."""
+    """The persistent plan tier, written by the service's
+    ``compute_mapping`` and read by its ``stored_mapping``."""
 
     KNOBS = Knobs(block_size=32, local_scheduling=True)
 
@@ -143,7 +143,7 @@ class TestPlanStore:
         request = MappingRequest(program, nest, fig9_machine, self.KNOBS)
         col = CollectorSink()
         with obs.tracing(col):
-            payload = compute_mapping(request, plans=PlanStore(str(tmp_path)))
+            payload = stored_mapping(request, PlanStore(str(tmp_path)))
         assert payload["stats"]["plan_tier"] == "disk"
         served = plan_from_dict(payload["mapping"], nest, fig9_machine)
         assert served.rounds == plan.rounds

@@ -4,7 +4,9 @@ M concurrent identical requests race through ``handle_map``; the
 check-and-register against the in-flight table is atomic, so exactly one
 becomes the leader and runs the pipeline while every other request
 either waits on the leader's job (``cache: "coalesced"``) or — if it
-arrives after the leader published — hits the LRU (``cache: "memory"``).
+arrives after the leader published — hits the content LRU (``cache:
+"memory"``) or, after the leader's answer was sent, replays it at the
+front (``cache: "front"``, the leader's ``request_id`` included).
 Either way the pipeline runs once, which the obs counter bridge and the
 service's own counters both pin down deterministically: the assertion
 holds for *every* interleaving, not just the one a sleep happens to
@@ -67,9 +69,10 @@ class TestCoalescing:
             assert 'repro_obs_counter{name="service.pipeline.runs"} 1' in metrics
 
             # The other M-1 either coalesced onto the in-flight job or hit
-            # the cache the leader had just published.
-            followers = counters.get("coalesced", 0) + counters.get(
-                "cache.memory", 0
+            # a cache the leader had just published to.
+            followers = sum(
+                counters.get(name, 0)
+                for name in ("coalesced", "cache.memory", "front_cache.hits")
             )
             assert followers == m - 1
             # With a 250ms leader and simultaneous release, waiters did
@@ -84,7 +87,7 @@ class TestCoalescing:
                 assert response["stats"]["per_core_iterations"] == (
                     reference["stats"]["per_core_iterations"]
                 )
-                assert response["cache"] in ("coalesced", "memory", "none")
+                assert response["cache"] in ("coalesced", "memory", "front", "none")
         finally:
             service.stop()
 
@@ -99,8 +102,13 @@ class TestCoalescing:
                 debug_sleep_ms=200,
             )
             assert not errors
-            ids = {response["request_id"] for response in results}
-            assert len(ids) == 4, "coalesced followers must keep their own ids"
+            # A front replay repeats the stored answer's request_id; every
+            # answer that was not replayed carries its own.
+            fresh = [r for r in results if r["cache"] != "front"]
+            ids = {response["request_id"] for response in fresh}
+            assert len(ids) == len(fresh), (
+                "coalesced followers must keep their own ids"
+            )
         finally:
             service.stop()
 

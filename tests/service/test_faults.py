@@ -38,7 +38,6 @@ def make_shard(**overrides) -> ShardService:
         threads=2,
         queue_size=8,
         debug=True,
-        router_cache_capacity=0,
         health_interval_s=0.05,
         drain_timeout_s=15.0,
     )

@@ -6,6 +6,11 @@ a JSON object — gets the same status and the same ``error`` text from
 either, and counts once as ``http.<status>``.  A refusal sent before the
 body is read closes the connection, so the unread body cannot prefix the
 next request on a kept-alive socket.
+
+Both fronts keep one reply cache: a byte-identical repeat of a cacheable
+``/map`` replays the stored answer (``cache`` is the front's
+``reply_cache``), while ``no_cache`` and degraded answers, and every
+``/remap``, run again.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ import socket
 
 import pytest
 
+from repro.cli import main
 from repro.service.server import MAX_BODY_BYTES
 from repro.service.shard import ShardService
 
-from tests.service.conftest import make_service
+from tests.service.conftest import BANDED_SOURCE, STENCIL_SOURCE, make_service
 from tests.service.test_shard import make_shard
 
 
@@ -153,3 +159,86 @@ def test_unread_body_does_not_reach_next_request(front, path, length):
             return
         sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
         assert read_response(stream)[0] == 200
+
+
+def counter(front, name: str) -> int:
+    """A counter of the front, plus its workers' on the shard."""
+    stats = front.stats_payload()
+    if "router" not in stats:
+        return stats["counters"].get(name, 0)
+    return stats["router"]["counters"].get(name, 0) + stats["counters"].get(name, 0)
+
+
+def post_twice(front, path: str, body: dict, between=lambda: None) -> list[dict]:
+    """The same body bytes sent twice, calling ``between`` in between;
+    both answers must be 200s."""
+    data = json.dumps(body).encode()
+    answers = []
+    for send in range(2):
+        if send:
+            between()
+        status, answer = exchange(front.port, "POST", path, data, None)
+        assert status == 200, answer
+        answers.append(answer)
+    return answers
+
+
+def test_byte_identical_map_repeat_is_replayed(front):
+    hits = f"{front.reply_cache}_cache.hits"
+    seen = {}
+
+    def count():
+        seen.update(runs=counter(front, "pipeline_runs"), hits=counter(front, hits))
+
+    first, second = post_twice(
+        front, "/map",
+        {"source": BANDED_SOURCE, "machine": "dunnington", "knobs": {"alpha": 0.3}},
+        between=count,
+    )
+    assert first["cache"] == "none"
+    assert second["cache"] == front.reply_cache
+    # A replay is the stored answer: same plan, id and timings.
+    for field in ("mapping", "request_id", "elapsed_ms", "queue_wait_ms"):
+        assert second[field] == first[field]
+    assert counter(front, "pipeline_runs") == seen["runs"]
+    assert counter(front, hits) == seen["hits"] + 1
+
+
+@pytest.mark.parametrize(
+    "extra, cache", [({"no_cache": True}, "bypass"), ({"deadline_ms": 0}, "none")],
+    ids=["no-cache", "degraded"],
+)
+def test_uncacheable_map_answers_are_never_replayed(front, extra, cache):
+    hits = f"{front.reply_cache}_cache.hits"
+    before = counter(front, hits)
+    answers = post_twice(
+        front, "/map",
+        {"source": STENCIL_SOURCE, "machine": "nehalem", "scale": 32, **extra},
+    )
+    assert [answer["cache"] for answer in answers] == [cache, cache]
+    if "deadline_ms" in extra:
+        assert all(answer["degraded"] for answer in answers)
+    assert counter(front, hits) == before
+
+
+def test_identical_remaps_both_run(front):
+    before = counter(front, "remap_runs")
+    answers = post_twice(
+        front, "/remap",
+        {"source": BANDED_SOURCE, "machine": "dunnington",
+         "event": {"kind": "phase_change", "knobs": {"alpha": 0.6}}},
+    )
+    assert [answer["cache"] for answer in answers] == ["none", "none"]
+    assert answers[0]["request_id"] != answers[1]["request_id"]
+    assert counter(front, "remap_runs") == before + 2
+
+
+def test_submit_marks_replays_as_cache_hits(front, tmp_path, capsys):
+    source = tmp_path / "banded.loop"
+    source.write_text(BANDED_SOURCE)
+    argv = ["submit", str(source), "--port", str(front.port),
+            "--machine", "dunnington", "--alpha", "0.35"]
+    assert main(argv) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    assert main(argv) == 0
+    assert f"[cache hit ({front.reply_cache})]" in capsys.readouterr().out

@@ -1,7 +1,7 @@
 """Overhead guard: the cache-hit path must stay cheap.
 
-A cached request does HTTP parse + key digest + LRU lookup + JSON
-serialize — no pipeline, no simulation.  This pins that overhead under a
+A byte-identical repeat does HTTP parse + body digest + LRU lookup at
+the front — no JSON, no pipeline, no simulation.  This pins that overhead under a
 fixed budget relative to a direct in-process
 :func:`repro.experiments.harness.run_scheme` call (which maps *and*
 simulates the same workload): the serving layer must never cost more
@@ -45,7 +45,7 @@ def test_cache_hit_overhead_within_budget():
                 source=STENCIL_SOURCE, machine="dunnington", scale=32
             )
             samples.append((time.perf_counter() - t0) * 1e3)
-            assert hit["cache"] == "memory"
+            assert hit["cache"] == "front"
         hit_ms = min(samples)
     finally:
         service.stop()

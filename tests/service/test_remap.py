@@ -214,18 +214,3 @@ class TestSharded:
         )
         assert response["worker"] == primed["worker"]
         assert response["remap"]["stages_replayed"] >= 1
-
-    def test_router_cache_namespaces_remap(self, shard, client):
-        """Identical remap bodies hit the router byte-cache; the hit
-        count is visible in the aggregated stats."""
-        body = {
-            "source": BANDED_SOURCE,
-            "machine": MACHINE,
-            "event": {"kind": "phase_change", "knobs": {"alpha": 0.6}},
-        }
-        first = client.request("POST", "/remap", body)
-        second = client.request("POST", "/remap", body)
-        assert first[0] == second[0] == 200
-        counters = client.stats()["router"]["counters"]
-        assert counters["router_cache.hits"] >= 1
-        assert counters["remap_requests"] >= 1

@@ -78,3 +78,23 @@ def test_topology_edit_then_loss(front, program_file, capsys):
     assert loss["remap"]["machine"] == "arch-II-x0.03125-less2"
     assert loss["stats"]["cores"] == edit["stats"]["cores"] - 1
     assert edit["remap"]["post"]["machine"] == "arch-II"
+
+
+#: A four-core machine of its own name, for ``--topology``.
+QUAD_SPEC = "name=quad4; cores=4; mem=80; L1:32K/8/64@3; L2:1M/8/64@14 per 2"
+
+
+def test_topology_file_names_the_machine(front, program_file, capsys, tmp_path):
+    """``--topology FILE`` sends the file's spec, and the loss applies to
+    that machine, as in local mode."""
+    spec = tmp_path / "quad.topo"
+    spec.write_text(QUAD_SPEC)
+    flags = ("--topology", str(spec), "--scale", "1")
+    loss = {"kind": "core_loss", "cores": [1]}
+    (answer,) = remap_via_service(front, program_file, capsys, loss, flags=flags)
+    assert main(["remap", program_file, "--event", json.dumps(loss), "--json",
+                 *flags]) == 0
+    (local,) = json.loads(capsys.readouterr().out)
+    assert answer["remap"]["machine"] == local["machine"] == "quad4-less1"
+    assert answer["stats"]["cores"] == local["cores"] == 3
+    assert answer["remap"]["post"]["topology"] == QUAD_SPEC

@@ -116,15 +116,38 @@ class TestDegradation:
 
 class TestCaching:
     def test_repeat_request_hits_lru(self, client):
+        """A byte-identical repeat replays at the front; a repeat with
+        the same content in other bytes (another deadline) is answered
+        by the content LRU."""
         first = client.submit(source=BANDED_SOURCE, machine="dunnington", scale=32)
         assert first["cache"] == "none"
         second = client.submit(source=BANDED_SOURCE, machine="dunnington", scale=32)
-        assert second["cache"] == "memory"
-        assert second["mapping"] == first["mapping"]
+        assert second["cache"] == "front"
+        third = client.submit(
+            source=BANDED_SOURCE, machine="dunnington", scale=32,
+            deadline_ms=60_000,
+        )
+        assert third["cache"] == "memory"
+        assert second["mapping"] == third["mapping"] == first["mapping"]
         stats = client.stats()
-        assert stats["cache"]["hits_memory"] == 1
+        assert stats["cache"]["memory"]["hits"] == 1
+        assert stats["counters"]["front_cache.hits"] == 1
         assert stats["counters"]["cache.memory"] == 1
         assert stats["counters"]["pipeline_runs"] == 1
+
+    def test_replay_never_parses_the_request(self, client, monkeypatch):
+        """A byte-identical repeat is answered before ``parse_request``
+        (no compile), with the stored answer's id and timings."""
+        first = client.submit(source=BANDED_SOURCE, machine="dunnington")
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a replay ran parse_request")
+
+        monkeypatch.setattr("repro.service.server.parse_request", refuse)
+        again = client.submit(source=BANDED_SOURCE, machine="dunnington")
+        assert again["cache"] == "front"
+        for field in ("request_id", "elapsed_ms", "queue_wait_ms", "mapping"):
+            assert again[field] == first[field]
 
     def test_no_cache_bypasses_both_tiers(self, client):
         client.submit(source=BANDED_SOURCE, machine="dunnington")
@@ -156,7 +179,34 @@ class TestCaching:
             assert warm["mapping"] == cold["mapping"]
             stats = client.stats()
             assert "pipeline_runs" not in stats["counters"]
-            assert stats["cache"]["hits_disk"] == 1
+            assert stats["counters"]["cache.disk"] == 1
+        finally:
+            reborn.stop()
+
+    def test_no_cache_reads_no_tier_after_restart(self, tmp_path):
+        """``no_cache`` bypasses the disk tier too: after a restart, the
+        repeat is computed, not served from ``plans-<fp>.json``."""
+        first = make_service(persistent=True, cache_dir=str(tmp_path))
+        first.start()
+        try:
+            client = ServiceClient(port=first.port)
+            client.wait_ready()
+            client.submit(source=BANDED_SOURCE, machine="dunnington")
+        finally:
+            first.stop()
+
+        reborn = make_service(persistent=True, cache_dir=str(tmp_path))
+        reborn.start()
+        try:
+            client = ServiceClient(port=reborn.port)
+            client.wait_ready()
+            fresh = client.submit(
+                source=BANDED_SOURCE, machine="dunnington", no_cache=True
+            )
+            assert fresh["cache"] == "bypass"
+            assert "groups" in fresh["stats"]
+            assert "plan_tier" not in fresh["stats"]
+            assert client.stats()["counters"]["pipeline_runs"] == 1
         finally:
             reborn.stop()
 

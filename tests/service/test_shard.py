@@ -130,21 +130,6 @@ class TestRouterCache:
             assert parsed["degraded"] is True
             assert parsed["cache"] == expected_cache
 
-    def test_disabled_cache_proxies_every_request(self):
-        service = make_shard(router_cache_capacity=0)
-        service.start()
-        try:
-            client = ServiceClient(port=service.port)
-            client.wait_ready()
-            payload = {"source": BANDED_SOURCE, "machine": "dunnington"}
-            client.request("POST", "/map", payload)
-            _status, _headers, body = client.request("POST", "/map", payload)
-            # Second answer comes from the worker's LRU, not the router.
-            assert json.loads(body)["cache"] == "memory"
-            assert service.stats_payload()["router"]["cache"] is None
-        finally:
-            service.stop()
-
 
 class TestAggregation:
     def test_stats_aggregate_across_workers(self, shard, client):
@@ -192,40 +177,31 @@ class TestSharedPlanTier:
     def test_plan_computed_by_one_worker_serves_another(self, tmp_path):
         """The PlanStore disk tier is one file under all workers.
 
-        Force both workers cold on the same content key by bypassing the
-        response caches; the second worker must still find the persisted
-        plan (cross-process reload + merge-on-write), visible as
-        ``plan_tier: disk`` in its response stats.
+        One worker computes the plan through the router; every other
+        worker, asked directly with the same body, finds its own tiers
+        cold and answers from the persisted plan (cross-process reload +
+        merge-on-write): ``cache: "disk"``.
         """
         from repro.pipeline.persist import PlanStore
 
-        service = make_shard(
-            workers=2, persistent=True, cache_dir=str(tmp_path),
-            router_cache_capacity=0,
-        )
+        service = make_shard(workers=2, persistent=True, cache_dir=str(tmp_path))
         service.start()
         try:
             client = ServiceClient(port=service.port)
             client.wait_ready()
-            first = client.submit(
-                source=BANDED_SOURCE, machine="dunnington", no_cache=True
-            )
-            assert first["ok"]
+            first = client.submit(source=BANDED_SOURCE, machine="dunnington")
+            assert first["cache"] == "none"
             assert len(PlanStore(str(tmp_path))) == 1
 
-            # Ask every *other* worker directly (no_cache skips response
-            # tiers but not the plan tier, which keys on content).
-            hits = []
+            tiers = []
             for handle in service.workers:
                 if handle.slot == first["worker"]:
                     continue
                 sibling = ServiceClient(port=handle.port)
-                response = sibling.submit(
-                    source=BANDED_SOURCE, machine="dunnington", no_cache=True
-                )
-                assert response["ok"]
-                hits.append(response["stats"].get("plan_tier"))
-            assert hits == ["disk"]
+                response = sibling.submit(source=BANDED_SOURCE, machine="dunnington")
+                assert response["mapping"] == first["mapping"]
+                tiers.append(response["cache"])
+            assert tiers == ["disk"]
         finally:
             service.stop()
 
